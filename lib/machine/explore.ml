@@ -310,6 +310,9 @@ type meters = {
   m_step : Obs.Metrics.timer;
   m_check : Obs.Metrics.timer;
   m_dedup : Obs.Metrics.timer;
+  m_dedup_build : Obs.Metrics.timer;
+  m_dedup_canonical : Obs.Metrics.timer;
+  m_dedup_store : Obs.Metrics.timer;
 }
 
 let meters_of reg =
@@ -318,6 +321,9 @@ let meters_of reg =
     m_step = Obs.Metrics.timer reg Obs.Names.explore_time_step;
     m_check = Obs.Metrics.timer reg Obs.Names.explore_time_check;
     m_dedup = Obs.Metrics.timer reg Obs.Names.explore_time_dedup;
+    m_dedup_build = Obs.Metrics.timer reg Obs.Names.explore_time_dedup_build;
+    m_dedup_canonical = Obs.Metrics.timer reg Obs.Names.explore_time_dedup_canonical;
+    m_dedup_store = Obs.Metrics.timer reg Obs.Names.explore_time_dedup_store;
   }
 
 (* Timing helpers that vanish when unobserved: [now_if] reads the clock
@@ -387,15 +393,30 @@ let rec go : 'st. 'st ctx -> Sim.t -> int -> int -> 'st -> unit =
         when match ctx.limits with
              | Some l -> Atomic.get l.l_dedup_on
              | None -> true ->
+        (* under symmetry the draft is hashed only in canonical order;
+           without a group, sealing it is part of the build *)
         let t0 = now_if ctx.om in
-        let fp = Fingerprint.of_sim ~extra:crashes sim in
-        let fp =
+        let d = Fingerprint.draft sim in
+        let fp, t1, t2 =
           match ctx.sym with
-          | Some g -> Fingerprint.Symmetry.canonical g fp
-          | None -> fp
+          | Some g ->
+            let t1 = now_if ctx.om in
+            let fp = Fingerprint.Symmetry.canonical_draft g ~extra:crashes d in
+            (fp, t1, now_if ctx.om)
+          | None ->
+            let fp = Fingerprint.seal ~extra:crashes d in
+            let t1 = now_if ctx.om in
+            (fp, t1, t1)
         in
         let r = Fingerprint.Store.add store fp in
-        lap ctx.om (fun m -> m.m_dedup) t0;
+        (match ctx.om with
+        | Some m ->
+          let t3 = Obs.Clock.now_ns () in
+          Obs.Metrics.Timer.add m.m_dedup_build (t1 - t0);
+          Obs.Metrics.Timer.add m.m_dedup_canonical (t2 - t1);
+          Obs.Metrics.Timer.add m.m_dedup_store (t3 - t2);
+          Obs.Metrics.Timer.add m.m_dedup (t3 - t0)
+        | None -> ());
         r
       | Some _ -> (* dedup store dropped by budget degradation *) true
     in

@@ -16,7 +16,7 @@
     impossibility analysis, the representation here is structural — no
     intermediate strings are built — with the hash computed once at
     construction, so fingerprints are cheap enough to take at every node
-    of an exploration.  {!Store} packages a sharded, mutex-protected
+    of an exploration.  {!Store} packages a sharded, lock-free
     visited-set over fingerprints for use from multiple domains. *)
 
 type frame_fp = {
@@ -115,16 +115,40 @@ let hash_of ~mem ~pmem ~owner ~junk ~extra ~procs =
   let h = mix h extra in
   Array.fold_left hash_proc h procs
 
-let of_sim ?(extra = 0) sim =
-  let fp_mem = Nvm.Memory.snapshot (Sim.mem sim) in
-  let fp_pmem = Nvm.Memory.psnapshot (Sim.mem sim) in
-  let fp_owner = Nvm.Memory.owners (Sim.mem sim) in
-  let fp_junk = Sim.junk_state sim in
-  let fp_procs = Array.init (Sim.nprocs sim) (fun p -> proc_of (Sim.proc sim p)) in
-  let fp_hash =
-    hash_of ~mem:fp_mem ~pmem:fp_pmem ~owner:fp_owner ~junk:fp_junk ~extra ~procs:fp_procs
-  in
-  { fp_hash; fp_mem; fp_pmem; fp_owner; fp_junk; fp_procs; fp_extra = extra }
+(* A fingerprint before hashing: the structural copy of a configuration,
+   which the symmetry reduction may still reorder before paying for the
+   hash (see {!Symmetry.canonical_draft}). *)
+type draft = {
+  d_mem : Nvm.Value.t array;
+  d_pmem : Nvm.Value.t array;
+  d_owner : int array;
+  d_junk : int;
+  d_procs : proc_fp array;
+}
+
+let draft sim =
+  {
+    d_mem = Nvm.Memory.snapshot (Sim.mem sim);
+    d_pmem = Nvm.Memory.psnapshot (Sim.mem sim);
+    d_owner = Nvm.Memory.owners (Sim.mem sim);
+    d_junk = Sim.junk_state sim;
+    d_procs = Array.init (Sim.nprocs sim) (fun p -> proc_of (Sim.proc sim p));
+  }
+
+let seal ?(extra = 0) d =
+  {
+    fp_hash =
+      hash_of ~mem:d.d_mem ~pmem:d.d_pmem ~owner:d.d_owner ~junk:d.d_junk ~extra
+        ~procs:d.d_procs;
+    fp_mem = d.d_mem;
+    fp_pmem = d.d_pmem;
+    fp_owner = d.d_owner;
+    fp_junk = d.d_junk;
+    fp_procs = d.d_procs;
+    fp_extra = extra;
+  }
+
+let of_sim ?extra sim = seal ?extra (draft sim)
 
 (* Components are immutable first-order data (ints, bools, strings,
    values), so structural polymorphic equality is exact; the precomputed
@@ -326,7 +350,7 @@ end
 
 (* Deterministic total order on fingerprints: hash first (cheap screen),
    then structural comparison of the immutable first-order components.
-   Used to pick the canonical representative of an orbit. *)
+   Picks the exhaustive orbit minimum, the test oracle. *)
 let order a b =
   let c = Int.compare a.fp_hash b.fp_hash in
   if c <> 0 then c
@@ -335,10 +359,13 @@ let order a b =
       (a.fp_junk, a.fp_extra, a.fp_mem, a.fp_pmem, a.fp_owner, a.fp_procs)
       (b.fp_junk, b.fp_extra, b.fp_mem, b.fp_pmem, b.fp_owner, b.fp_procs)
 
+(* renaming shares every pid-free subvalue *)
 let rec rename_value pi v =
   match v with
   | Nvm.Value.Pid q -> if q >= 0 && q < Array.length pi then Nvm.Value.Pid pi.(q) else v
-  | Nvm.Value.Pair (a, b) -> Nvm.Value.Pair (rename_value pi a, rename_value pi b)
+  | Nvm.Value.Pair (a, b) ->
+    let a' = rename_value pi a and b' = rename_value pi b in
+    if a' == a && b' == b then v else Nvm.Value.Pair (a', b')
   | v -> v
 
 let map_frame_values f fr =
@@ -355,19 +382,32 @@ let map_proc_values f p =
     pf_stack = List.map (map_frame_values f) p.pf_stack;
   }
 
-let erased_proc_hash sim p =
-  let own = Nvm.Value.Str "\001own" and other = Nvm.Value.Str "\001other" in
-  let rec erase v =
-    match v with
-    | Nvm.Value.Pid q -> if q = p then own else other
-    | Nvm.Value.Pair (a, b) -> Nvm.Value.Pair (erase a, erase b)
-    | v -> v
-  in
-  hash_proc 0x9e3779b9 (map_proc_values erase (proc_of (Sim.proc sim p)))
+(* The own/other erasure from process [p]'s point of view: every [Pid]
+   becomes a token that only says whether it names [p].  Renaming the
+   processes by [pi] and then erasing from [pi p]'s point of view gives
+   what erasing from [p]'s gave, so the key below is equivariant. *)
+let own_tok = Nvm.Value.Str "\001own"
+let other_tok = Nvm.Value.Str "\001other"
+
+let rec erase p v =
+  match v with
+  | Nvm.Value.Pid q -> if q = p then own_tok else other_tok
+  | Nvm.Value.Pair (a, b) -> Nvm.Value.Pair (erase p a, erase p b)
+  | v -> v
+
+(* Hash of process [p]'s control state so erased: the rank key of
+   canonicalisation and the explorer's POR tie-break alike. *)
+let erased_key p pf = hash_proc 0x9e3779b9 (map_proc_values (erase p) pf)
+
+let erased_proc_hash sim p = erased_key p (proc_of (Sim.proc sim p))
 
 module Symmetry = struct
   type group = {
     g_n : int;
+    g_classes : int array list;
+        (** crash-enabled and crash-disabled processes, each ascending
+            (empty classes left out): the group is the product of the
+            symmetric groups on these classes *)
     g_perms : int array list;  (** non-identity members of the group *)
     g_arrays : int list;
     g_matrices : int list;
@@ -376,20 +416,22 @@ module Symmetry = struct
   let degree g = 1 + List.length g.g_perms
   let max_group = 5040 (* 7! — beyond this canonicalisation costs more than it prunes *)
 
-  (* All non-identity permutations of 0..n-1 mapping the [keep] set onto
-     itself (crash-enabled processes must stay crash-enabled). *)
-  let perms_of n keep =
+  let is_identity pi =
+    let rec go i = i >= Array.length pi || (pi.(i) = i && go (i + 1)) in
+    go 0
+
+  (* All permutations [pi] of 0..n-1 with [label.(pi.(i)) = label.(i)],
+     i.e. the product of the symmetric groups on the label classes; the
+     identity comes first. *)
+  let perms_of n label =
     let acc = ref [] in
     let pi = Array.make n (-1) in
     let used = Array.make n false in
     let rec go i =
-      if i = n then begin
-        if not (Array.for_all Fun.id (Array.mapi (fun k j -> k = j) pi)) then
-          acc := Array.copy pi :: !acc
-      end
+      if i = n then acc := Array.copy pi :: !acc
       else
         for j = 0 to n - 1 do
-          if (not used.(j)) && keep.(i) = keep.(j) then begin
+          if (not used.(j)) && label.(i) = label.(j) then begin
             used.(j) <- true;
             pi.(i) <- j;
             go (i + 1);
@@ -400,12 +442,61 @@ module Symmetry = struct
     go 0;
     List.rev !acc
 
+  (* Pid-free control fields of a process: equivariant because it holds
+     no values, and far cheaper than [erased_key], which only breaks
+     the ties it leaves. *)
+  let shape pf =
+    List.fold_left
+      (fun h f ->
+        let h = mix (mix (mix h f.ff_obj) f.ff_pc) f.ff_li in
+        mix h (Bool.to_int f.ff_recovery lor (Bool.to_int f.ff_interrupted lsl 1)))
+      (mix (mix 0x2545 (Bool.to_int pf.pf_crashed)) pf.pf_script)
+      pf.pf_stack
+
+  (* The group elements that sort the processes by rank — [shape], then
+     [erased_key] — within each class: a process of smaller rank moves to
+     a smaller slot.  The sort fixes one such element, [pi]; where ranks
+     tie, every rearrangement of the tied processes sorts too, so the set
+     is [pi] after each permutation of the tie runs. *)
+  let candidates g procs =
+    let n = g.g_n in
+    let shapes = Array.map shape procs in
+    let keys = Array.make n 0 and known = Array.make n false in
+    let key p =
+      if not known.(p) then begin
+        keys.(p) <- erased_key p procs.(p);
+        known.(p) <- true
+      end;
+      keys.(p)
+    in
+    let rank a b =
+      let c = Int.compare shapes.(a) shapes.(b) in
+      if c <> 0 then c else Int.compare (key a) (key b)
+    in
+    let pi = Array.make n 0 in
+    let run = Array.init n Fun.id in
+    let ties = ref false in
+    List.iter
+      (fun cls ->
+        let ps = Array.copy cls in
+        Array.stable_sort rank ps;
+        Array.iteri
+          (fun i p ->
+            pi.(p) <- cls.(i);
+            if i > 0 && rank ps.(i - 1) p = 0 then begin
+              ties := true;
+              run.(p) <- run.(ps.(i - 1))
+            end)
+          ps)
+      g.g_classes;
+    if not !ties then [ pi ]
+    else List.map (fun tau -> Array.map (fun q -> pi.(q)) tau) (perms_of n run)
+
   (* A script is symmetric when, after renaming the process's own pid to
      a neutral token, every process runs the same program.  Arguments
      mentioning a *foreign* pid, or computed at invocation time, make
      the scenario asymmetric (or unanalysable) — detection bails out. *)
   let erased_script own (pr : Sim.proc) =
-    let own_tok = Nvm.Value.Str "\001own" in
     let rec erase v =
       match v with
       | Nvm.Value.Pid q -> if q = own then Some own_tok else None
@@ -486,8 +577,9 @@ module Symmetry = struct
        || not (junk_pid_free sim)
     then None
     else
-      let keep = Array.init n (fun p -> List.mem p crash_procs) in
-      match perms_of n keep with
+      (* crash-enabled processes must stay crash-enabled *)
+      let keep = Array.init n (fun p -> Bool.to_int (List.mem p crash_procs)) in
+      match List.filter (fun pi -> not (is_identity pi)) (perms_of n keep) with
       | [] -> None
       | perms ->
         let arrays, matrices =
@@ -498,16 +590,26 @@ module Symmetry = struct
               | Some s -> (s.Objdef.pid_arrays @ ars, s.Objdef.pid_matrices @ mats))
             ([], []) insts
         in
-        Some { g_n = n; g_perms = perms; g_arrays = arrays; g_matrices = matrices }
+        let cls k =
+          Array.of_list (List.filter (fun p -> keep.(p) = k) (List.init n Fun.id))
+        in
+        Some
+          {
+            g_n = n;
+            g_classes = List.filter (fun c -> Array.length c > 0) [ cls 0; cls 1 ];
+            g_perms = perms;
+            g_arrays = arrays;
+            g_matrices = matrices;
+          }
 
-  (* Apply a permutation to a fingerprint: rename every Pid value, move
+  (* Apply a permutation to a draft: rename every Pid value, move
      per-process array cells to the slot of the renamed owner, move
      matrix cells likewise in both coordinates, and relocate each
-     process's control state.  The junk stream and the extra path
-     context are pid-free by construction, so they pass through. *)
-  let permute g pi fp =
+     process's control state.  The junk stream is pid-free by
+     construction, so it passes through. *)
+  let permute g pi d =
     let n = g.g_n in
-    let renamed = Array.map (rename_value pi) fp.fp_mem in
+    let renamed = Array.map (rename_value pi) d.d_mem in
     let mem = Array.copy renamed in
     List.iter
       (fun base ->
@@ -525,33 +627,61 @@ module Symmetry = struct
             done
           done)
       g.g_matrices;
-    let procs = Array.make n fp.fp_procs.(0) in
+    let procs = Array.make n d.d_procs.(0) in
     for p = 0 to n - 1 do
-      procs.(pi.(p)) <- map_proc_values (rename_value pi) fp.fp_procs.(p)
+      procs.(pi.(p)) <- map_proc_values (rename_value pi) d.d_procs.(p)
     done;
     (* symmetry reduction is disabled under the explicit-persist model
        (see Explore.symmetry_group), so the persisted-view arrays are
        always empty here and pass through unchanged *)
-    let fp_hash =
-      hash_of ~mem ~pmem:fp.fp_pmem ~owner:fp.fp_owner ~junk:fp.fp_junk ~extra:fp.fp_extra
-        ~procs
-    in
+    { d with d_mem = mem; d_procs = procs }
+
+  let draft_of fp =
     {
-      fp_hash;
-      fp_mem = mem;
-      fp_pmem = fp.fp_pmem;
-      fp_owner = fp.fp_owner;
-      fp_junk = fp.fp_junk;
-      fp_procs = procs;
-      fp_extra = fp.fp_extra;
+      d_mem = fp.fp_mem;
+      d_pmem = fp.fp_pmem;
+      d_owner = fp.fp_owner;
+      d_junk = fp.fp_junk;
+      d_procs = fp.fp_procs;
     }
+
+  (* Structural order on drafts of one configuration: junk, persisted
+     view and owners are common to all its arrangements. *)
+  let compare_drafts a b =
+    let c = Stdlib.compare a.d_mem b.d_mem in
+    if c <> 0 then c else Stdlib.compare a.d_procs b.d_procs
+
+  (* The least candidate arrangement, compared before hashing so only
+     the winner is sealed.  [self] seals the draft as given, which the
+     identity candidate reuses. *)
+  let choose g ~extra d ~self =
+    let arrange pi = if is_identity pi then d else permute g pi d in
+    match candidates g d.d_procs with
+    | [] -> self ()
+    | pi :: rest ->
+      let best =
+        List.fold_left
+          (fun best pi ->
+            let c = arrange pi in
+            if compare_drafts c best < 0 then c else best)
+          (arrange pi) rest
+      in
+      if best == d then self () else seal ~extra best
+
+  let canonical_draft g ?(extra = 0) d =
+    if Array.length d.d_procs <> g.g_n then seal ~extra d
+    else choose g ~extra d ~self:(fun () -> seal ~extra d)
 
   let canonical g fp =
     if Array.length fp.fp_procs <> g.g_n then fp
+    else choose g ~extra:fp.fp_extra (draft_of fp) ~self:(fun () -> fp)
+
+  let orbit g fp =
+    if Array.length fp.fp_procs <> g.g_n then [ fp ]
     else
-      List.fold_left
-        (fun best pi ->
-          let cand = permute g pi fp in
-          if order cand best < 0 then cand else best)
-        fp g.g_perms
+      fp
+      :: List.map (fun pi -> seal ~extra:fp.fp_extra (permute g pi (draft_of fp))) g.g_perms
+
+  let orbit_min g fp =
+    List.fold_left (fun best c -> if order c best < 0 then c else best) fp (orbit g fp)
 end

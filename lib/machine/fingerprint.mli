@@ -20,7 +20,19 @@ val of_sim : ?extra:int -> Sim.t -> t
     context.  The explorer passes the crash budget consumed so far:
     two equal configurations reached having spent different budgets have
     different remaining futures, so deduplicating across them would make
-    search statistics depend on traversal order. *)
+    search statistics depend on traversal order.  Equal to
+    [seal ?extra (draft sim)]. *)
+
+type draft
+(** A fingerprint before hashing: the structural copy of a
+    configuration, which {!Symmetry.canonical_draft} may still reorder
+    before the hash is paid for. *)
+
+val draft : Sim.t -> draft
+(** The structural copy that {!of_sim} hashes. *)
+
+val seal : ?extra:int -> draft -> t
+(** Hash a draft into a fingerprint ([extra] as in {!of_sim}). *)
 
 val equal : t -> t -> bool
 val hash : t -> int
@@ -32,10 +44,11 @@ module Table : Hashtbl.S with type key = t
 
 val erased_proc_hash : Sim.t -> int -> int
 (** Hash of process [p]'s control state with every [Pid] value erased to
-    an own/other token.  The result is invariant under any process
-    permutation that fixes [p]'s own/other relation, which makes it a
-    sound {e equivariant} tie-breaker for partial-order choices made
-    under symmetry reduction (see {!Explore}). *)
+    an own/other token.  It is {e equivariant}: after renaming the
+    processes by a permutation [pi], process [pi p] has the hash [p] had.
+    That makes it a sound tie-breaker for partial-order choices made
+    under symmetry reduction (see {!Explore}), and the key by which
+    {!Symmetry.canonical} ranks processes. *)
 
 (** Lock-free sharded visited-set over fingerprints, shared by all
     exploring domains.  Each shard is an ordered chain of
@@ -81,7 +94,7 @@ end
     configuration (identical per-process scripts up to own-pid renaming,
     pid-oblivious object declarations ({!Objdef.sym_spec}), pid-free
     junk strategy, permutations preserving the crash-enabled set);
-    {!canonical} then maps a fingerprint to the least element of its
+    {!canonical} then maps a fingerprint to one representative of its
     orbit so the visited store deduplicates whole orbits.  See
     docs/model.md for the soundness argument. *)
 module Symmetry : sig
@@ -98,7 +111,25 @@ module Symmetry : sig
   (** Order of the group (including the identity). *)
 
   val canonical : group -> t -> t
-  (** Least fingerprint of the orbit under the group's permutations
+  (** The orbit representative: among the group elements that sort the
+      processes within each crash class by an equivariant rank — a
+      pid-free summary of the control state, then {!erased_proc_hash} —
+      the least permuted configuration in a structural order.  There is
+      usually one such element.  Every member of an orbit yields the same
+      candidate configurations and hence the same representative
       (deterministic: independent of domain, schedule or insertion
       order). *)
+
+  val canonical_draft : group -> ?extra:int -> draft -> t
+  (** [canonical_draft g ?extra d] is [canonical g (seal ?extra d)], but
+      hashes only the winning arrangement, not the draft as given. *)
+
+  val orbit : group -> t -> t list
+  (** Every image of the fingerprint under the group, itself first — a
+      test oracle. *)
+
+  val orbit_min : group -> t -> t
+  (** The least element of the orbit (hash first, then structure): the
+      exhaustive canonical form, kept as the test oracle {!canonical}
+      must partition alike with. *)
 end

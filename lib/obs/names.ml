@@ -22,6 +22,9 @@ let explore_store_contention = "explore.store.contention"
 let explore_time_step = "explore.time.step"
 let explore_time_check = "explore.time.check"
 let explore_time_dedup = "explore.time.dedup"
+let explore_time_dedup_build = "explore.time.dedup.build"
+let explore_time_dedup_canonical = "explore.time.dedup.canonical"
+let explore_time_dedup_store = "explore.time.dedup.store"
 let explore_time_total = "explore.time.total"
 
 let nrl_checks = "nrl.checks"
@@ -86,6 +89,9 @@ let catalogue =
     (explore_time_step, Timer, false, "wall time applying decisions (clone or mark/apply/undo)");
     (explore_time_check, Timer, false, "wall time in checker callbacks");
     (explore_time_dedup, Timer, false, "wall time fingerprinting and probing the visited store");
+    (explore_time_dedup_build, Timer, false, "dedup time copying the configuration (and hashing it without symmetry)");
+    (explore_time_dedup_canonical, Timer, false, "dedup time ranking processes and hashing the canonical candidates");
+    (explore_time_dedup_store, Timer, false, "dedup time probing and inserting into the visited store");
     (explore_time_total, Timer, false, "wall time of the whole exploration");
     (nrl_checks, Counter, true, "full NRL verdicts computed (Nrl.check calls)");
     (durable_checks, Counter, true, "durable-linearizability verdicts computed (Durable.check calls)");

@@ -91,7 +91,19 @@ val explore_time_check : string
     verdicts). *)
 
 val explore_time_dedup : string
-(** Wall time fingerprinting and probing the visited store. *)
+(** Wall time fingerprinting and probing the visited store: the sum of
+    the three timers below. *)
+
+val explore_time_dedup_build : string
+(** Dedup time copying the configuration into a fingerprint draft, plus
+    hashing it when no symmetry group is active. *)
+
+val explore_time_dedup_canonical : string
+(** Dedup time under symmetry ranking processes and building and hashing
+    the canonical candidates (0 without symmetry). *)
+
+val explore_time_dedup_store : string
+(** Dedup time probing and inserting into the visited store. *)
 
 val explore_time_total : string
 (** Wall time of the whole exploration, expansion and join included. *)

@@ -184,8 +184,8 @@ let test_zoo_verdicts_pinned_crash_free () =
           (stats_q.Explore.nodes <= stats_g.Explore.nodes))
     Objects.Zoo.all
 
-(* The canonical map itself: idempotent, orbit-minimal on the sound
-   scenario whose quotient T8 measures. *)
+(* The canonical map itself: idempotent on the root of a sound
+   symmetric scenario. *)
 let test_canonical_idempotent () =
   let nprocs = 3 in
   let sim = Sim.create ~nprocs () in
@@ -203,6 +203,110 @@ let test_canonical_idempotent () =
     Alcotest.(check bool) "canonical is idempotent" true
       (F.equal c (F.Symmetry.canonical g c))
 
+(* {1 The canonical map against the exhaustive orbit minimum} *)
+
+(* Processes on one recoverable register, each writing its own tagged
+   value and reading it back: the scenario T8 quotients. *)
+let rw_symmetric sim =
+  let inst = Objects.Rw_obj.make sim ~name:"R" in
+  for p = 0 to Sim.nprocs sim - 1 do
+    Sim.set_script sim p
+      [
+        (inst, "WRITE", Sim.Args [| Workload.Opgen.tagged p 0 |]);
+        (inst, "READ", Sim.Args [||]);
+      ]
+  done;
+  sim
+
+(* Every configuration an unquotiented dedup search applies a decision
+   to, fingerprinted, together with the group its crash set induces.
+   Building each canonical form straight from the machine must give what
+   canonicalising the finished fingerprint gives. *)
+let collect ~crash_procs =
+  let cfg = { Explore.default_config with max_steps = 200; max_crashes = 1; crash_procs } in
+  let sim0 = rw_symmetric (Sim.create ~nprocs:3 ()) in
+  let g =
+    match Explore.symmetry_group cfg sim0 with
+    | Some g -> g
+    | None -> Alcotest.fail "symmetric rw scenario not detected"
+  in
+  let fps = ref [] and mismatches = ref 0 in
+  let on_step sim =
+    let fp = F.of_sim sim in
+    if not (F.equal (F.Symmetry.canonical_draft g (F.draft sim)) (F.Symmetry.canonical g fp))
+    then incr mismatches;
+    fps := fp :: !fps
+  in
+  ignore
+    (Explore.dfs ~cfg ~dedup:true ~symmetry:false ~on_step ~on_terminal:(fun _ -> ()) sim0);
+  if !mismatches > 0 then
+    Alcotest.failf "canonical_draft differs from canonical on %d configurations" !mismatches;
+  (g, Array.of_list (List.rev !fps))
+
+(* For a sample of collected configurations: the canonical form is the
+   same from every member of the orbit and lies in the orbit, and two
+   stores fed every orbit member — one keyed by the canonical form, one
+   by the exhaustive orbit minimum — answer fresh/duplicate alike, i.e.
+   they partition the configurations identically. *)
+let prop_canonical_vs_oracle ~name ~crash_procs ~degree =
+  let data = lazy (collect ~crash_procs) in
+  QCheck2.Test.make ~name ~count:30
+    QCheck2.Gen.(list_size (int_range 1 40) (int_bound 1_000_000))
+    (fun picks ->
+      let g, fps = Lazy.force data in
+      if F.Symmetry.degree g <> degree then
+        QCheck2.Test.fail_reportf "group order %d, expected %d" (F.Symmetry.degree g) degree;
+      let by_canonical = F.Store.create () and by_oracle = F.Store.create () in
+      List.for_all
+        (fun i ->
+          let fp = fps.(i mod Array.length fps) in
+          let c = F.Symmetry.canonical g fp in
+          let orbit = F.Symmetry.orbit g fp in
+          List.length orbit = degree
+          && F.equal (F.Symmetry.orbit_min g c) (F.Symmetry.orbit_min g fp)
+          && List.for_all
+               (fun x ->
+                 F.equal (F.Symmetry.canonical g x) c
+                 && F.Store.add by_canonical (F.Symmetry.canonical g x)
+                    = F.Store.add by_oracle (F.Symmetry.orbit_min g x))
+               orbit)
+        picks)
+
+(* The fingerprint hash of a fixed mid-search configuration, pinned:
+   fuzz corpora record these hashes as coverage, so a rework of the
+   fingerprint must not shift them.  Same for the pid-erased process
+   hashes, which steer the explorer's equivariant POR choices. *)
+let mid_search ?annotate persist =
+  let sim = rw_symmetric (Sim.create ~seed:5 ~persist ?annotate ~nprocs:2 ()) in
+  List.iter
+    (fun (act, p) ->
+      match act with
+      | `Step -> if Sim.enabled sim p then Sim.step sim p
+      | `Crash -> if Sim.can_crash sim p then Sim.crash sim p
+      | `Recover -> if Sim.can_recover sim p then Sim.recover sim p)
+    [
+      (`Step, 0); (`Step, 0); (`Step, 1); (`Step, 0); (`Step, 1); (`Crash, 0); (`Step, 1);
+      (`Recover, 0); (`Step, 0); (`Step, 1); (`Step, 1);
+    ];
+  sim
+
+let test_hash_pinned () =
+  let check name sim ~hash ~erased =
+    Alcotest.(check int) (name ^ ": Fingerprint.hash") hash (F.hash (F.of_sim sim));
+    Alcotest.(check int) (name ^ ": draft then seal") hash (F.hash (F.seal (F.draft sim)));
+    Alcotest.(check (list int))
+      (name ^ ": erased process hashes") erased
+      [ F.erased_proc_hash sim 0; F.erased_proc_hash sim 1 ]
+  in
+  let erased = [ 3525800409206143825; 3918423398384199814 ] in
+  check "instant" (mid_search Nvm.Memory.Instant) ~hash:1574192757221091610 ~erased;
+  (* the bare transcription leaves dirty cells, so the persisted view and
+     the pending-writer owners are hashed too *)
+  let explicit = mid_search ~annotate:false Nvm.Memory.Explicit in
+  Alcotest.(check bool) "explicit: some cell is dirty" true
+    (Array.exists (fun o -> o >= 0) (Nvm.Memory.owners (Sim.mem explicit)));
+  check "explicit" explicit ~hash:380891632284991523 ~erased
+
 let suite =
   [
     Alcotest.test_case "fresh exactly once, cardinal exact" `Quick test_fresh_exactly_once;
@@ -214,4 +318,11 @@ let suite =
       test_zoo_verdicts_pinned_crash_free;
     Alcotest.test_case "canonical map idempotent, full group" `Quick
       test_canonical_idempotent;
+    QCheck_alcotest.to_alcotest
+      (prop_canonical_vs_oracle ~name:"canonical = orbit-min partition, full S3"
+         ~crash_procs:[ 0; 1; 2 ] ~degree:6);
+    QCheck_alcotest.to_alcotest
+      (prop_canonical_vs_oracle ~name:"canonical = orbit-min partition, crash subgroup"
+         ~crash_procs:[ 0; 1 ] ~degree:2);
+    Alcotest.test_case "fingerprint and erased hashes pinned" `Quick test_hash_pinned;
   ]
