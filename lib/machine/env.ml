@@ -90,8 +90,15 @@ let scramble t junk =
     answers unbound lookups from this stream. *)
 let junk_state t = Option.map Junk.state t.junk
 
+(* names are unique ([Hashtbl.replace]), so ordering by name alone is a
+   total order on the bindings; most frames have none, and skipping the
+   fold for them matters on the fingerprinting path *)
 let bindings t =
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl [])
+  if Hashtbl.length t.tbl = 0 then []
+  else
+    List.sort
+      (fun (a, _) (b, _) -> String.compare a b)
+      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl [])
 
 let pp ppf t =
   Fmt.pf ppf "{%a}"

@@ -393,22 +393,24 @@ let rec go : 'st. 'st ctx -> Sim.t -> int -> int -> 'st -> unit =
         when match ctx.limits with
              | Some l -> Atomic.get l.l_dedup_on
              | None -> true ->
-        (* under symmetry the draft is hashed only in canonical order;
-           without a group, sealing it is part of the build *)
+        (* without a group the key is encoded straight from the machine;
+           under symmetry only the canonical arrangement of the draft is *)
         let t0 = now_if ctx.om in
-        let d = Fingerprint.draft sim in
-        let fp, t1, t2 =
+        let key, t1, t2 =
           match ctx.sym with
           | Some g ->
+            let d = Fingerprint.draft sim in
             let t1 = now_if ctx.om in
-            let fp = Fingerprint.Symmetry.canonical_draft g ~extra:crashes d in
-            (fp, t1, now_if ctx.om)
+            let key =
+              Fingerprint.Key.encode_draft ~extra:crashes (Fingerprint.Symmetry.arrange g d)
+            in
+            (key, t1, now_if ctx.om)
           | None ->
-            let fp = Fingerprint.seal ~extra:crashes d in
+            let key = Fingerprint.Key.encode_sim ~extra:crashes sim in
             let t1 = now_if ctx.om in
-            (fp, t1, t1)
+            (key, t1, t1)
         in
-        let r = Fingerprint.Store.add store fp in
+        let r = Fingerprint.Store.add_key store key in
         (match ctx.om with
         | Some m ->
           let t3 = Obs.Clock.now_ns () in

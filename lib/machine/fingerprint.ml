@@ -12,12 +12,15 @@
     event sequences even when they were reached by different
     interleavings.
 
-    Unlike the string serialisation previously private to the
-    impossibility analysis, the representation here is structural — no
-    intermediate strings are built — with the hash computed once at
-    construction, so fingerprints are cheap enough to take at every node
-    of an exploration.  {!Store} packages a sharded, lock-free
-    visited-set over fingerprints for use from multiple domains. *)
+    Two representations share that definition.  The structural one
+    ({!t}) builds no strings and hashes once at construction; it keys
+    the impossibility analysis's tables and is what {!Symmetry}
+    permutes.  The flat one ({!Key}) writes the same fields as bytes,
+    straight from the machine into a reusable buffer, and is exact:
+    equal bytes iff {!equal}.  {!Store}, the explorer's lock-free
+    visited set shared by every domain, keeps one such key string per
+    state — no pointers for the GC to trace — behind a per-segment
+    screen of hashes. *)
 
 type frame_fp = {
   ff_obj : int;  (** instance id *)
@@ -65,8 +68,10 @@ let hash t = t.fp_hash
 (* FNV-style mixing; Value.hash does the per-value work *)
 let mix h k = ((h * 0x01000193) lxor k) land max_int
 
-let hash_value_list h l =
-  List.fold_left (fun h (s, v) -> mix (mix h (Hashtbl.hash s)) (Nvm.Value.hash v)) h l
+(* [vh] hashes one value: [Nvm.Value.hash], or its pid-erased variant
+   for {!erased_proc_hash} *)
+let hash_value_list vh h l =
+  List.fold_left (fun h (s, v) -> mix (mix h (Hashtbl.hash s)) (vh v)) h l
 
 let frame_of (f : Sim.frame) =
   {
@@ -81,15 +86,15 @@ let frame_of (f : Sim.frame) =
     ff_args = f.Sim.f_args;
   }
 
-let hash_frame h f =
+let hash_frame vh h f =
   let h = mix h f.ff_obj in
   let h = mix h (Hashtbl.hash f.ff_op) in
   let h = mix h (Bool.to_int f.ff_recovery lor (Bool.to_int f.ff_interrupted lsl 1)) in
   let h = mix h f.ff_pc in
   let h = mix h f.ff_li in
   let h = mix h (match f.ff_env_junk with None -> 0x5851 | Some s -> s) in
-  let h = hash_value_list h f.ff_env in
-  Array.fold_left (fun h v -> mix h (Nvm.Value.hash v)) h f.ff_args
+  let h = hash_value_list vh h f.ff_env in
+  Array.fold_left (fun h v -> mix h (vh v)) h f.ff_args
 
 let proc_of (pr : Sim.proc) =
   {
@@ -99,11 +104,11 @@ let proc_of (pr : Sim.proc) =
     pf_stack = List.map frame_of pr.Sim.stack;
   }
 
-let hash_proc h p =
+let hash_proc vh h p =
   let h = mix h (Bool.to_int p.pf_crashed) in
   let h = mix h p.pf_script in
-  let h = hash_value_list h p.pf_results in
-  List.fold_left hash_frame h p.pf_stack
+  let h = hash_value_list vh h p.pf_results in
+  List.fold_left (hash_frame vh) h p.pf_stack
 
 let hash_of ~mem ~pmem ~owner ~junk ~extra ~procs =
   let h = Array.fold_left (fun h v -> mix h (Nvm.Value.hash v)) 0x811c9dc5 mem in
@@ -113,11 +118,11 @@ let hash_of ~mem ~pmem ~owner ~junk ~extra ~procs =
   let h = Array.fold_left (fun h o -> mix h (o + 2)) h owner in
   let h = mix h junk in
   let h = mix h extra in
-  Array.fold_left hash_proc h procs
+  Array.fold_left (hash_proc Nvm.Value.hash) h procs
 
 (* A fingerprint before hashing: the structural copy of a configuration,
    which the symmetry reduction may still reorder before paying for the
-   hash (see {!Symmetry.canonical_draft}). *)
+   hash (see {!Symmetry.arrange}). *)
 type draft = {
   d_mem : Nvm.Value.t array;
   d_pmem : Nvm.Value.t array;
@@ -150,6 +155,15 @@ let seal ?(extra = 0) d =
 
 let of_sim ?extra sim = seal ?extra (draft sim)
 
+let draft_of fp =
+  {
+    d_mem = fp.fp_mem;
+    d_pmem = fp.fp_pmem;
+    d_owner = fp.fp_owner;
+    d_junk = fp.fp_junk;
+    d_procs = fp.fp_procs;
+  }
+
 (* Components are immutable first-order data (ints, bools, strings,
    values), so structural polymorphic equality is exact; the precomputed
    hash screens out almost all mismatches first. *)
@@ -165,8 +179,7 @@ module Table = Hashtbl.Make (struct
   let hash = hash
 end)
 
-(** Printable canonical serialisation (for diagnostics and the
-    impossibility analysis's string-keyed maps). *)
+(** Printable canonical serialisation, for diagnostics. *)
 let to_string t =
   let b = Buffer.create 256 in
   Array.iter
@@ -230,20 +243,279 @@ let to_string t =
     t.fp_procs;
   Buffer.contents b
 
-(** Lock-free sharded visited-set, safe to share across domains.
+(* -------------------------------------------------------------------- *)
+(* Flat byte keys                                                        *)
 
-    Each shard is an ordered chain of open-addressing segments of
-    [fp option Atomic.t] slots.  Insertion probes the segments in one
-    fixed global order — oldest segment first, and within each segment a
-    bounded window of slots starting at a position derived from the
-    fingerprint hash — and claims the first empty slot with a CAS.
-    Because slots are monotone ([None] → [Some fp], never mutated
-    again) and two equal fingerprints share the exact same probe
-    sequence, they serialise on the first CAS-able slot of that
-    sequence: whichever CAS wins inserts, and the loser re-reads the
-    very slot it lost and observes the duplicate.  So [add] returns
-    [true] exactly once per distinct fingerprint with no locks on the
-    fast path.
+(** The visited store's key: the fields {!equal} compares, written into
+    a byte string in a fixed, prefix-free layout —
+
+    {v
+    key   = junk extra mem pmem owner nprocs proc*
+    mem   = count value*          (pmem likewise; owner = count int* )
+    proc  = status script results stack
+    stack = count frame*          (inner-most first)
+    frame = obj op flags pc li env-junk env args
+    env   = count (name value)*   (sorted by name; results likewise)
+    args  = count value*
+    v}
+
+    An integer is a zigzag LEB128 varint (a junk-generator state, 8
+    fixed bytes), a string is its length then its bytes, a value is a
+    tag byte naming its constructor then its payload, and every
+    variable-length part carries its count.  So the bytes parse back
+    into the one structure they were written from: two keys are equal
+    byte for byte exactly when the fingerprints are {!equal}, and the
+    store compares keys with no false merges and no hash compaction.
+
+    Encoding writes into a buffer owned by the calling domain, so a
+    probe that finds a duplicate allocates nothing. *)
+module Key = struct
+  type enc = { mutable buf : Bytes.t; mutable len : int; mutable hash : int }
+
+  let domain_buf = Domain.DLS.new_key (fun () -> { buf = Bytes.create 512; len = 0; hash = 0 })
+
+  let grow e n =
+    let b = Bytes.create (max (2 * Bytes.length e.buf) (e.len + n)) in
+    Bytes.blit e.buf 0 b 0 e.len;
+    e.buf <- b
+
+  let[@inline] room e n = if e.len + n > Bytes.length e.buf then grow e n
+
+  let[@inline] byte e c =
+    room e 1;
+    Bytes.unsafe_set e.buf e.len (Char.unsafe_chr c);
+    e.len <- e.len + 1
+
+  (* LEB128 of [z] read as unsigned 63 bits: at most 9 bytes *)
+  let varint e z =
+    room e 9;
+    let b = e.buf in
+    let n = ref z and i = ref e.len in
+    while !n land -128 <> 0 do
+      Bytes.unsafe_set b !i (Char.unsafe_chr (!n land 0x7f lor 0x80));
+      incr i;
+      n := !n lsr 7
+    done;
+    Bytes.unsafe_set b !i (Char.unsafe_chr !n);
+    e.len <- !i + 1
+
+  (* zigzag keeps small magnitudes of either sign to one byte *)
+  let[@inline] int e n =
+    let z = (n lsl 1) lxor (n asr 62) in
+    if z >= 0 && z < 0x80 then byte e z else varint e z
+
+  (* junk-generator states fill the whole word: fixed width beats a
+     9-byte varint *)
+  let word e n =
+    room e 8;
+    Bytes.set_int64_le e.buf e.len (Int64.of_int n);
+    e.len <- e.len + 8
+
+  let str e s =
+    let n = String.length s in
+    int e n;
+    room e n;
+    Bytes.unsafe_blit_string s 0 e.buf e.len n;
+    e.len <- e.len + n
+
+  (* one tag byte per constructor; small non-negative [Int]s and [Pid]s
+     fold into their tag *)
+  let rec value e (v : Nvm.Value.t) =
+    match v with
+    | Null -> byte e 0
+    | Bool b -> byte e (if b then 2 else 1)
+    | Int i ->
+      if i >= 0 && i < 0x40 then byte e (0x40 lor i)
+      else begin
+        byte e 3;
+        int e i
+      end
+    | Pid p ->
+      if p >= 0 && p < 0x40 then byte e (0x80 lor p)
+      else begin
+        byte e 4;
+        int e p
+      end
+    | Str s ->
+      byte e 5;
+      str e s
+    | Pair (a, b) ->
+      byte e 6;
+      value e a;
+      value e b
+
+  let values e a =
+    int e (Array.length a);
+    Array.iter (value e) a
+
+  let bindings e l =
+    int e (List.length l);
+    List.iter
+      (fun (k, v) ->
+        str e k;
+        value e v)
+      l
+
+  let env_junk e = function
+    | None -> byte e 0
+    | Some s ->
+      byte e 1;
+      word e s
+
+  let flags ~recovery ~interrupted = Bool.to_int recovery lor (Bool.to_int interrupted lsl 1)
+
+  (* Two encoders of one layout: from the structural copy, and straight
+     from the machine without building it.  They must agree byte for
+     byte (a test checks it on every configuration of a search). *)
+
+  let frame_fp e f =
+    int e f.ff_obj;
+    str e f.ff_op;
+    byte e (flags ~recovery:f.ff_recovery ~interrupted:f.ff_interrupted);
+    int e f.ff_pc;
+    int e f.ff_li;
+    env_junk e f.ff_env_junk;
+    bindings e f.ff_env;
+    values e f.ff_args
+
+  let proc_fp e p =
+    byte e (Bool.to_int p.pf_crashed);
+    int e p.pf_script;
+    bindings e p.pf_results;
+    int e (List.length p.pf_stack);
+    List.iter (frame_fp e) p.pf_stack
+
+  let frame_sim e (f : Sim.frame) =
+    int e f.Sim.f_obj.Objdef.id;
+    str e f.Sim.f_op.Objdef.op_name;
+    byte e
+      (flags
+         ~recovery:(match f.Sim.f_phase with Sim.Body -> false | Sim.Recovery -> true)
+         ~interrupted:f.Sim.f_interrupted);
+    int e f.Sim.f_pc;
+    int e f.Sim.f_li;
+    env_junk e (Env.junk_state f.Sim.f_env);
+    bindings e (Env.bindings f.Sim.f_env);
+    values e f.Sim.f_args
+
+  let proc_sim e (pr : Sim.proc) =
+    byte e (match pr.Sim.status with Sim.Ready -> 0 | Sim.Crashed -> 1);
+    int e (List.length pr.Sim.script);
+    bindings e pr.Sim.results;
+    int e (List.length pr.Sim.stack);
+    List.iter (frame_sim e) pr.Sim.stack
+
+  (* Multiply-xorshift over 8-byte words (the high half folded in, as an
+     [int] drops the word's top bit), then a final avalanche: the store
+     takes its shard from the low bits and its slot from the rest. *)
+  let finish e =
+    let b = e.buf and len = e.len in
+    let h = ref (len * 0x1f58476d1ce4e5b9) and i = ref 0 in
+    while !i + 8 <= len do
+      let w = Bytes.get_int64_le b !i in
+      let w = Int64.to_int w lxor Int64.to_int (Int64.shift_right_logical w 32) in
+      h := (!h lxor w) * 0x14057b7ef767814f;
+      h := !h lxor (!h lsr 29);
+      i := !i + 8
+    done;
+    while !i < len do
+      h := (!h lxor Char.code (Bytes.unsafe_get b !i)) * 0x100000001b3;
+      incr i
+    done;
+    let h = (!h lxor (!h lsr 31)) * 0x14057b7ef767814f in
+    e.hash <- (h lxor (h lsr 30)) land max_int;
+    e
+
+  let start ~junk ~extra =
+    let e = Domain.DLS.get domain_buf in
+    e.len <- 0;
+    word e junk;
+    int e extra;
+    e
+
+  let encode_draft ?(extra = 0) d =
+    let e = start ~junk:d.d_junk ~extra in
+    values e d.d_mem;
+    values e d.d_pmem;
+    int e (Array.length d.d_owner);
+    Array.iter (int e) d.d_owner;
+    int e (Array.length d.d_procs);
+    Array.iter (proc_fp e) d.d_procs;
+    finish e
+
+  let encode fp = encode_draft ~extra:fp.fp_extra (draft_of fp)
+
+  (* The persisted view and the owners are empty in instant mode, as in
+     [Nvm.Memory.psnapshot] and [Nvm.Memory.owners]. *)
+  let encode_sim ?(extra = 0) sim =
+    let e = start ~junk:(Sim.junk_state sim) ~extra in
+    let mem = Sim.mem sim in
+    let n = Nvm.Memory.size mem in
+    int e n;
+    for a = 0 to n - 1 do
+      value e (Nvm.Memory.peek mem a)
+    done;
+    (match Nvm.Memory.mode mem with
+    | Nvm.Memory.Instant ->
+      int e 0;
+      int e 0
+    | Nvm.Memory.Explicit ->
+      int e n;
+      for a = 0 to n - 1 do
+        value e (Nvm.Memory.peek_persisted mem a)
+      done;
+      int e n;
+      for a = 0 to n - 1 do
+        int e (Nvm.Memory.owner mem a)
+      done);
+    int e (Sim.nprocs sim);
+    for p = 0 to Sim.nprocs sim - 1 do
+      proc_sim e (Sim.proc sim p)
+    done;
+    finish e
+
+  let to_string e = Bytes.sub_string e.buf 0 e.len
+
+  (* [s] holds the bytes of [e] *)
+  let matches e s =
+    String.length s = e.len
+    &&
+    let b = e.buf and len = e.len in
+    let rec words i =
+      if i + 8 <= len then
+        Int64.equal (String.get_int64_ne s i) (Bytes.get_int64_ne b i) && words (i + 8)
+      else bytes i
+    and bytes i = i >= len || (String.unsafe_get s i = Bytes.unsafe_get b i && bytes (i + 1)) in
+    words 0
+
+  let of_sim ?extra sim = to_string (encode_sim ?extra sim)
+  let of_fp fp = to_string (encode fp)
+end
+
+(** Lock-free sharded visited-set of {!Key}s, safe to share across
+    domains.
+
+    Each shard is an ordered chain of open-addressing segments.  A
+    segment holds [string Atomic.t] slots, [vacant] until claimed, and a
+    parallel [screen] of key hashes.  Insertion probes the segments in
+    one fixed global order — oldest segment first, and within each
+    segment a bounded window of slots starting at a position derived
+    from the key hash — and claims the first vacant slot with a CAS.
+    Because slots are monotone ([vacant] → key, never changed again) and
+    two equal keys share the exact same probe sequence, they serialise
+    on the first CAS-able slot of that sequence: whichever CAS wins
+    inserts, and the loser re-reads the very slot it lost and observes
+    the duplicate.  So [add] returns [true] exactly once per distinct
+    key with no locks on the fast path.
+
+    The screen holds [hash + 1] of a slot's key, written by the CAS
+    winner after its CAS, so [0] means "not known yet".  A probe skips a
+    slot whose screen holds another non-zero value — that slot is taken,
+    by a key with another hash — and reads the slot itself otherwise.
+    The screen therefore only saves work (a window is two cache lines of
+    [int]s) and never decides membership.  The key string is allocated
+    only when a probe is about to CAS, so a duplicate costs no
+    allocation.
 
     When every window in the chain is full, the shard grows by
     appending a segment of twice the last size — the only step taken
@@ -253,8 +525,13 @@ let to_string t =
 module Store = struct
   type fp = t
 
+  type segment = {
+    slots : string Atomic.t array;  (** power-of-two length *)
+    screen : int array;  (** [hash + 1] of the slot's key; [0] = unknown *)
+  }
+
   type shard = {
-    mutable segs : fp option Atomic.t array array;
+    mutable segs : segment array;
         (** oldest first; written only under [lock], read without it —
             the probe re-reads via [Atomic] slot operations only *)
     lock : Mutex.t;
@@ -270,6 +547,13 @@ module Store = struct
   let probe_window = 16
   let initial_segment = 1 lsl 10
 
+  (* a fresh block: no key, always a fresh [Bytes.sub_string], is
+     physically equal to it *)
+  let vacant = Bytes.unsafe_to_string (Bytes.create 0)
+
+  let segment m =
+    { slots = Array.init m (fun _ -> Atomic.make vacant); screen = Array.make m 0 }
+
   let create ?(shards = 64) () =
     let bits =
       let rec go b = if 1 lsl b >= max 1 (min shards 4096) then b else go (b + 1) in
@@ -279,7 +563,7 @@ module Store = struct
       shards =
         Array.init (1 lsl bits) (fun _ ->
             {
-              segs = [| Array.init initial_segment (fun _ -> Atomic.make None) |];
+              segs = [| segment initial_segment |];
               lock = Mutex.create ();
               count = Atomic.make 0;
             });
@@ -289,41 +573,48 @@ module Store = struct
 
   type verdict = Fresh | Dup | Full
 
-  let probe t segs (fp : fp) =
-    let key = fp.fp_hash lsr t.shard_bits in
+  let probe t segs (k : Key.enc) =
+    let tag = k.Key.hash + 1 in
+    let pos = k.Key.hash lsr t.shard_bits in
     let nsegs = Array.length segs in
-    let verdict = ref Full in
+    let verdict = ref Full and copy = ref vacant in
     let s = ref 0 in
     while !verdict = Full && !s < nsegs do
       let seg = segs.(!s) in
-      let m = Array.length seg in
-      let base = key mod m in
-      let window = min probe_window m in
+      let mask = Array.length seg.slots - 1 in
+      let window = min probe_window (mask + 1) in
       let i = ref 0 in
       while !verdict = Full && !i < window do
-        let slot = seg.((base + !i) mod m) in
-        (match Atomic.get slot with
-        | Some v -> if equal v fp then verdict := Dup
-        | None ->
-          if Atomic.compare_and_set slot None (Some fp) then verdict := Fresh
+        let j = (pos + !i) land mask in
+        let sc = seg.screen.(j) in
+        if sc = 0 || sc = tag then begin
+          let slot = seg.slots.(j) in
+          let v = Atomic.get slot in
+          if v != vacant then (if Key.matches k v then verdict := Dup)
           else begin
-            Atomic.incr t.contention;
-            (* the slot is monotone: re-read what beat us *)
-            match Atomic.get slot with
-            | Some v when equal v fp -> verdict := Dup
-            | _ -> ()
-          end);
+            if !copy == vacant then copy := Key.to_string k;
+            if Atomic.compare_and_set slot vacant !copy then begin
+              seg.screen.(j) <- tag;
+              verdict := Fresh
+            end
+            else begin
+              Atomic.incr t.contention;
+              (* the slot is monotone: re-read what beat us *)
+              if Key.matches k (Atomic.get slot) then verdict := Dup
+            end
+          end
+        end;
         incr i
       done;
       incr s
     done;
     !verdict
 
-  (** [add s fp] is [true] iff [fp] was not in the store (and is now). *)
-  let rec add t (fp : fp) =
-    let sh = t.shards.(fp.fp_hash land ((1 lsl t.shard_bits) - 1)) in
+  (** [add_key s k] is [true] iff [k] was not in the store (and is now). *)
+  let rec add_key t (k : Key.enc) =
+    let sh = t.shards.(k.Key.hash land ((1 lsl t.shard_bits) - 1)) in
     let segs = sh.segs in
-    match probe t segs fp with
+    match probe t segs k with
     | Fresh ->
       Atomic.incr sh.count;
       true
@@ -332,10 +623,11 @@ module Store = struct
       Mutex.lock sh.lock;
       (if sh.segs == segs then
          let last = segs.(Array.length segs - 1) in
-         let grown = Array.init (2 * Array.length last) (fun _ -> Atomic.make None) in
-         sh.segs <- Array.append segs [| grown |]);
+         sh.segs <- Array.append segs [| segment (2 * Array.length last.slots) |]);
       Mutex.unlock sh.lock;
-      add t fp
+      add_key t k
+
+  let add t (fp : fp) = add_key t (Key.encode fp)
 
   let cardinal t = Array.fold_left (fun acc sh -> acc + Atomic.get sh.count) 0 t.shards
 
@@ -389,15 +681,20 @@ let map_proc_values f p =
 let own_tok = Nvm.Value.Str "\001own"
 let other_tok = Nvm.Value.Str "\001other"
 
-let rec erase p v =
+let own_hash = Nvm.Value.hash own_tok
+let other_hash = Nvm.Value.hash other_tok
+
+(* [Nvm.Value.hash] of the erased value without building it: mirrors
+   that hash's [Pair] rule (the pinned erased hashes check the match) *)
+let rec erased_hash p v =
   match v with
-  | Nvm.Value.Pid q -> if q = p then own_tok else other_tok
-  | Nvm.Value.Pair (a, b) -> Nvm.Value.Pair (erase p a, erase p b)
-  | v -> v
+  | Nvm.Value.Pid q -> if q = p then own_hash else other_hash
+  | Nvm.Value.Pair (a, b) -> (erased_hash p a * 65599) + erased_hash p b
+  | v -> Nvm.Value.hash v
 
 (* Hash of process [p]'s control state so erased: the rank key of
    canonicalisation and the explorer's POR tie-break alike. *)
-let erased_key p pf = hash_proc 0x9e3779b9 (map_proc_values (erase p) pf)
+let erased_key p pf = hash_proc (erased_hash p) 0x9e3779b9 pf
 
 let erased_proc_hash sim p = erased_key p (proc_of (Sim.proc sim p))
 
@@ -636,45 +933,32 @@ module Symmetry = struct
        always empty here and pass through unchanged *)
     { d with d_mem = mem; d_procs = procs }
 
-  let draft_of fp =
-    {
-      d_mem = fp.fp_mem;
-      d_pmem = fp.fp_pmem;
-      d_owner = fp.fp_owner;
-      d_junk = fp.fp_junk;
-      d_procs = fp.fp_procs;
-    }
-
   (* Structural order on drafts of one configuration: junk, persisted
      view and owners are common to all its arrangements. *)
   let compare_drafts a b =
     let c = Stdlib.compare a.d_mem b.d_mem in
     if c <> 0 then c else Stdlib.compare a.d_procs b.d_procs
 
-  (* The least candidate arrangement, compared before hashing so only
-     the winner is sealed.  [self] seals the draft as given, which the
-     identity candidate reuses. *)
-  let choose g ~extra d ~self =
-    let arrange pi = if is_identity pi then d else permute g pi d in
-    match candidates g d.d_procs with
-    | [] -> self ()
-    | pi :: rest ->
-      let best =
+  (* The least candidate arrangement, compared before hashing or
+     encoding so only the winner is; [d] itself (physically) when no
+     permutation beats it. *)
+  let arrange g d =
+    if Array.length d.d_procs <> g.g_n then d
+    else
+      let arrange pi = if is_identity pi then d else permute g pi d in
+      match candidates g d.d_procs with
+      | [] -> d
+      | pi :: rest ->
         List.fold_left
           (fun best pi ->
             let c = arrange pi in
             if compare_drafts c best < 0 then c else best)
           (arrange pi) rest
-      in
-      if best == d then self () else seal ~extra best
-
-  let canonical_draft g ?(extra = 0) d =
-    if Array.length d.d_procs <> g.g_n then seal ~extra d
-    else choose g ~extra d ~self:(fun () -> seal ~extra d)
 
   let canonical g fp =
-    if Array.length fp.fp_procs <> g.g_n then fp
-    else choose g ~extra:fp.fp_extra (draft_of fp) ~self:(fun () -> fp)
+    let d = draft_of fp in
+    let best = arrange g d in
+    if best == d then fp else seal ~extra:fp.fp_extra best
 
   let orbit g fp =
     if Array.length fp.fp_procs <> g.g_n then [ fp ]

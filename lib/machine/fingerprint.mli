@@ -8,10 +8,10 @@
     event sequences even when reached by different interleavings.
 
     The representation is structural (no string building) and the hash
-    is computed once at construction, so taking a fingerprint at every
-    node of an exploration is affordable.  This module generalises the
-    serialisation the impossibility analysis used privately; see
-    {!Impossibility.Statekey} for the string-keyed compatibility layer. *)
+    is computed once at construction, for tables keyed on
+    configurations.  The explorer's visited {!Store} keys on {!Key}
+    instead: the same fields as flat bytes, encoded straight from the
+    machine. *)
 
 type t
 
@@ -25,7 +25,7 @@ val of_sim : ?extra:int -> Sim.t -> t
 
 type draft
 (** A fingerprint before hashing: the structural copy of a
-    configuration, which {!Symmetry.canonical_draft} may still reorder
+    configuration, which {!Symmetry.arrange} may still reorder
     before the hash is paid for. *)
 
 val draft : Sim.t -> draft
@@ -38,7 +38,7 @@ val equal : t -> t -> bool
 val hash : t -> int
 
 val to_string : t -> string
-(** Printable canonical serialisation (diagnostics, string-keyed maps). *)
+(** Printable canonical serialisation, for diagnostics. *)
 
 module Table : Hashtbl.S with type key = t
 
@@ -50,32 +50,67 @@ val erased_proc_hash : Sim.t -> int -> int
     under symmetry reduction (see {!Explore}), and the key by which
     {!Symmetry.canonical} ranks processes. *)
 
-(** Lock-free sharded visited-set over fingerprints, shared by all
-    exploring domains.  Each shard is an ordered chain of
-    open-addressing segments whose slots are [Atomic] and monotone
-    ([None] → inserted fingerprint, never changed again); insertion
-    probes the chain in one fixed global order and claims the first
-    empty slot by CAS, so equal fingerprints — which share the same
-    probe sequence — serialise on a single slot and [add] answers
-    "fresh" exactly once per distinct fingerprint without taking a lock
-    on the fast path.  Shards grow by appending doubled segments under
-    a per-shard mutex. *)
+(** Lossless flat byte key of a configuration: the fields {!equal}
+    compares, in a prefix-free layout (tagged values, length-prefixed
+    strings and sequences, varint integers).  Two keys are equal byte
+    for byte exactly when the fingerprints are {!equal}, so the bytes
+    are an exact visited-set key — no hash compaction — and hold no
+    pointers.  The key hash is the store's own, unrelated to {!hash}. *)
+module Key : sig
+  type enc
+  (** A key encoded into the calling domain's reusable buffer, with its
+      hash: valid until the same domain encodes again. *)
+
+  val encode_sim : ?extra:int -> Sim.t -> enc
+  (** Straight from the machine, without building the structural copy;
+      byte for byte the key of [of_sim ?extra sim]. *)
+
+  val encode_draft : ?extra:int -> draft -> enc
+  (** The key of [seal ?extra d], without hashing the draft. *)
+
+  val encode : t -> enc
+
+  val to_string : enc -> string
+
+  val of_sim : ?extra:int -> Sim.t -> string
+  (** [to_string (encode_sim ?extra sim)]. *)
+
+  val of_fp : t -> string
+  (** [to_string (encode fp)]. *)
+end
+
+(** Lock-free sharded visited-set of {!Key}s, shared by all exploring
+    domains.  Each shard is an ordered chain of open-addressing
+    segments whose slots are [Atomic] and monotone (vacant → key string,
+    never changed again); insertion probes the chain in one fixed
+    global order and claims the first vacant slot by CAS, so equal keys
+    — which share the same probe sequence — serialise on a single slot
+    and [add] answers "fresh" exactly once per distinct key without
+    taking a lock on the fast path.  Each segment also keeps a screen
+    of slot hashes, written after the winning CAS, that lets a probe
+    skip taken slots without reading them; a slot whose screen entry is
+    not written yet is read, so the screen never decides membership.
+    A duplicate probe allocates nothing.  Shards grow by appending
+    doubled segments under a per-shard mutex. *)
 module Store : sig
   type fp = t
   type t
 
   val create : ?shards:int -> unit -> t
   (** [shards] (default 64) is rounded up to a power of two; the shard
-      is chosen by the low fingerprint-hash bits, the in-shard probe
-      position by the remaining bits. *)
+      is chosen by the low key-hash bits, the in-shard probe position
+      by the remaining bits. *)
 
-  val add : t -> fp -> bool
-  (** [add s fp] is [true] iff [fp] was not yet in the store (it is
+  val add_key : t -> Key.enc -> bool
+  (** [add_key s k] is [true] iff [k] was not yet in the store (it is
       recorded atomically with the test — linearizable across
       domains). *)
 
+  val add : t -> fp -> bool
+  (** [add s fp] is [add_key s (Key.encode fp)]. *)
+
   val cardinal : t -> int
-  (** Number of distinct fingerprints inserted. *)
+  (** Number of distinct keys inserted. *)
 
   val contention : t -> int
   (** CAS insertions lost to a racing domain — a measure of shard
@@ -120,9 +155,11 @@ module Symmetry : sig
       (deterministic: independent of domain, schedule or insertion
       order). *)
 
-  val canonical_draft : group -> ?extra:int -> draft -> t
-  (** [canonical_draft g ?extra d] is [canonical g (seal ?extra d)], but
-      hashes only the winning arrangement, not the draft as given. *)
+  val arrange : group -> draft -> draft
+  (** The arrangement of a draft that {!canonical} picks — the draft
+      itself when no permutation beats it — neither hashed nor encoded:
+      [seal ?extra (arrange g d)] is [canonical g (seal ?extra d)]. *)
+
 
   val orbit : group -> t -> t list
   (** Every image of the fingerprint under the group, itself first — a

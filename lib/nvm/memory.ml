@@ -312,6 +312,10 @@ let peek_persisted t a =
   check t a;
   match t.mode with Instant -> t.cells.(a) | Explicit -> t.pmem.(a)
 
+let owner t a =
+  check t a;
+  match t.mode with Instant -> -1 | Explicit -> t.owner.(a)
+
 let snapshot t = Array.sub t.cells 0 t.used
 
 let psnapshot t =

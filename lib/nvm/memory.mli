@@ -87,6 +87,10 @@ val peek_persisted : t -> addr -> Value.t
 (** The persisted view of a cell ({!peek} of the medium); equal to
     {!peek} in {!Instant} mode.  Non-counting. *)
 
+val owner : t -> addr -> int
+(** Pending-writer pid of a cell ([-1] = clean, always in {!Instant}
+    mode).  Non-counting. *)
+
 val snapshot : t -> Value.t array
 (** Copy of the current volatile heap contents, for state exploration. *)
 

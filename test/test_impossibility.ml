@@ -92,7 +92,7 @@ let test_valency_zero_mask_solo () =
   | other -> Alcotest.failf "expected p0-valent, got %a" Valency.pp_verdict other);
   Alcotest.(check bool) "explored some configs" true (v.Valency.configs > 0)
 
-let test_statekey_distinguishes () =
+let test_state_keys_distinguish () =
   let mk () =
     let sim = Machine.Sim.create ~nprocs:2 () in
     let inst = Objects.Tas_obj.make sim ~name:"T" in
@@ -103,11 +103,10 @@ let test_statekey_distinguishes () =
   in
   let a = mk () in
   let b = mk () in
-  Alcotest.(check string) "identical configs, identical keys" (Statekey.of_sim a)
-    (Statekey.of_sim b);
+  let key = Machine.Fingerprint.Key.of_sim in
+  Alcotest.(check string) "identical configs, identical keys" (key a) (key b);
   Machine.Sim.step b 0;
-  Alcotest.(check bool) "different configs, different keys" true
-    (Statekey.of_sim a <> Statekey.of_sim b)
+  Alcotest.(check bool) "different configs, different keys" true (key a <> key b)
 
 let test_pending_step_detects_tas () =
   let sim = Machine.Sim.create ~nprocs:1 () in
@@ -131,6 +130,6 @@ let suite =
     Alcotest.test_case "consensus: rw-only candidates refuted" `Slow
       test_consensus_rw_candidates_refuted;
     Alcotest.test_case "solo valency" `Quick test_valency_zero_mask_solo;
-    Alcotest.test_case "state keys" `Quick test_statekey_distinguishes;
+    Alcotest.test_case "state keys" `Quick test_state_keys_distinguish;
     Alcotest.test_case "pending step detection" `Quick test_pending_step_detects_tas;
   ]

@@ -79,6 +79,147 @@ let test_shard_distribution () =
         Alcotest.failf "shard %d holds %d inserts (mean %d): hash is not spreading" i sz mean)
     sizes
 
+(* Growth under contention: one shard, so every insert lands in the
+   same chain and the racing domains must append segments past
+   [initial_segment] (1024) while others probe — the CAS, the screen's
+   write-after-CAS window and the fall-back to reading a slot whose
+   screen entry is still 0 all race. *)
+let test_concurrent_growth () =
+  let n = 6_000 and domains = 4 in
+  let fps = make_fps n in
+  (* every domain inserts a contiguous 3/4 of the range, from its own
+     offset, so each fingerprint is raced by three domains *)
+  let store = F.Store.create ~shards:1 () in
+  let workers =
+    List.init domains (fun d ->
+        Domain.spawn (fun () ->
+            let fresh = ref 0 in
+            for k = 0 to (3 * n / 4) - 1 do
+              if F.Store.add store fps.((k + (d * n / 4)) mod n) then incr fresh
+            done;
+            !fresh))
+  in
+  let fresh_total = List.fold_left (fun a d -> a + Domain.join d) 0 workers in
+  Alcotest.(check int) "fresh answers sum to the union" n fresh_total;
+  Alcotest.(check int) "cardinal is the union" n (F.Store.cardinal store);
+  Array.iter
+    (fun fp -> Alcotest.(check bool) "every insert is remembered" false (F.Store.add store fp))
+    fps
+
+(* {1 Flat keys are exact} *)
+
+(* Byte equality of keys must be exactly [Fingerprint.equal]: a merge of
+   unequal configurations would prune an unexplored state.  Each pair
+   below differs in one place that a careless layout would lose — a
+   value's constructor, a string boundary, the opaque path context, the
+   persisted view, the pending-writer owner. *)
+let check_pair name a b =
+  let fa = F.of_sim ~extra:0 a and fb = F.of_sim ~extra:0 b in
+  let ka = F.Key.of_sim a and kb = F.Key.of_sim b in
+  Alcotest.(check bool) (name ^ ": structurally distinct") false (F.equal fa fb);
+  Alcotest.(check bool) (name ^ ": keys distinct") false (String.equal ka kb);
+  Alcotest.(check string) (name ^ ": key from the machine = key of the fingerprint") ka
+    (F.Key.of_fp fa);
+  let store = F.Store.create ~shards:1 () in
+  Alcotest.(check (pair bool bool)) (name ^ ": both fresh in one store") (true, true)
+    (F.Store.add store fa, F.Store.add store fb)
+
+let one_cell ?persist v =
+  let sim = Sim.create ?persist ~nprocs:1 () in
+  ignore (Nvm.Memory.alloc (Sim.mem sim) v);
+  sim
+
+(* one process mid-READ, so its frame's environment can be planted *)
+let with_binding name v =
+  let sim = Sim.create ~nprocs:1 () in
+  let inst = Objects.Rw_obj.make sim ~name:"R" in
+  Sim.set_script sim 0 [ (inst, "READ", Sim.Args [||]) ];
+  Sim.step sim 0;
+  (match (Sim.proc sim 0).Sim.stack with
+  | f :: _ -> Machine.Env.set f.Sim.f_env name v
+  | [] -> Alcotest.fail "invocation pushed no frame");
+  sim
+
+(* explicit mode: cell initialised to [init], then [Int 1] written by
+   [pid] and left unflushed *)
+let dirty ~init ~pid =
+  let sim = one_cell ~persist:Nvm.Memory.Explicit (Nvm.Value.Int init) in
+  let mem = Sim.mem sim in
+  Nvm.Memory.set_current_pid mem pid;
+  Nvm.Memory.write mem 0 (Nvm.Value.Int 1);
+  sim
+
+let test_key_adversarial_pairs () =
+  let open Nvm.Value in
+  check_pair "Int 1 vs Pid 1" (one_cell (Int 1)) (one_cell (Pid 1));
+  check_pair "Str ab vs Pair (Str a, Str b)" (one_cell (Str "ab"))
+    (one_cell (Pair (Str "a", Str "b")));
+  check_pair "env a=bc vs ab=c" (with_binding "a" (Str "bc")) (with_binding "ab" (Str "c"));
+  (* names may hold any byte: without length prefixes these two would
+     write the same bytes, the value's tag standing in for a name byte *)
+  check_pair "env a\\005b=null vs a=b\\000" (with_binding "a\005b" Null)
+    (with_binding "a" (Str "b\000"));
+  check_pair "pmem only" (dirty ~init:0 ~pid:0) (dirty ~init:2 ~pid:0);
+  check_pair "owner only" (dirty ~init:0 ~pid:0) (dirty ~init:0 ~pid:1);
+  (* the path context alone *)
+  let sim = one_cell (Int 1) in
+  Alcotest.(check bool) "extra only: keys distinct" false
+    (String.equal (F.Key.of_sim ~extra:0 sim) (F.Key.of_sim ~extra:1 sim));
+  Alcotest.(check bool) "extra only: structurally distinct" false
+    (F.equal (F.of_sim ~extra:0 sim) (F.of_sim ~extra:1 sim));
+  (* and equal configurations built apart share one key *)
+  Alcotest.(check string) "equal configurations, equal keys"
+    (F.Key.of_sim (with_binding "a" (Str "bc")))
+    (F.Key.of_sim (with_binding "a" (Str "bc")))
+
+(* Every configuration a dedup search probes, in both persist models:
+   the key encoded straight from the machine is byte for byte the key of
+   its fingerprint (and of its draft), and across all of them key
+   equality coincides with [Fingerprint.equal] in both directions. *)
+let probed persist =
+  let sim0 = Sim.create ~persist ~nprocs:2 () in
+  (Workload.Scenarios.register ~nprocs:2 ~ops:2 ()).Workload.Trial.build sim0;
+  let cfg =
+    { Explore.default_config with max_steps = 200; max_crashes = 1; crash_procs = [ 0; 1 ] }
+  in
+  let out = ref [] and mismatches = ref 0 in
+  let on_step sim =
+    let extra = List.length !out mod 3 in
+    let fp = F.of_sim ~extra sim in
+    let k = F.Key.of_sim ~extra sim in
+    if
+      not
+        (String.equal k (F.Key.of_fp fp)
+        && String.equal k (F.Key.to_string (F.Key.encode_draft ~extra (F.draft sim))))
+    then incr mismatches;
+    out := (fp, k) :: !out
+  in
+  ignore (Explore.dfs ~cfg ~dedup:true ~symmetry:false ~on_step ~on_terminal:(fun _ -> ()) sim0);
+  if !mismatches > 0 then
+    Alcotest.failf "direct key differs from the fingerprint's on %d configurations" !mismatches;
+  Array.of_list !out
+
+let test_key_exact persist () =
+  let cs = probed persist in
+  let by_key = Hashtbl.create 1024 and by_fp = F.Table.create 1024 in
+  let merged = ref 0 in
+  Array.iter
+    (fun (fp, k) ->
+      (match Hashtbl.find_opt by_key k with
+      | Some fp' ->
+        incr merged;
+        if not (F.equal fp fp') then Alcotest.fail "equal keys for unequal fingerprints"
+      | None -> Hashtbl.add by_key k fp);
+      match F.Table.find_opt by_fp fp with
+      | Some k' ->
+        if not (String.equal k k') then Alcotest.fail "distinct keys for equal fingerprints"
+      | None -> F.Table.add by_fp fp k)
+    cs;
+  Alcotest.(check int) "as many distinct keys as distinct fingerprints" (F.Table.length by_fp)
+    (Hashtbl.length by_key);
+  (* the check has teeth only if the search revisits configurations *)
+  Alcotest.(check bool) "some configurations recur" true (!merged > 0)
+
 (* {1 Symmetry soundness on the bug zoo} *)
 
 (* Symmetric workloads per base algorithm: every process runs the same
@@ -233,14 +374,14 @@ let collect ~crash_procs =
   let fps = ref [] and mismatches = ref 0 in
   let on_step sim =
     let fp = F.of_sim sim in
-    if not (F.equal (F.Symmetry.canonical_draft g (F.draft sim)) (F.Symmetry.canonical g fp))
+    if not (F.equal (F.seal (F.Symmetry.arrange g (F.draft sim))) (F.Symmetry.canonical g fp))
     then incr mismatches;
     fps := fp :: !fps
   in
   ignore
     (Explore.dfs ~cfg ~dedup:true ~symmetry:false ~on_step ~on_terminal:(fun _ -> ()) sim0);
   if !mismatches > 0 then
-    Alcotest.failf "canonical_draft differs from canonical on %d configurations" !mismatches;
+    Alcotest.failf "arranging the draft differs from canonical on %d configurations" !mismatches;
   (g, Array.of_list (List.rev !fps))
 
 (* For a sample of collected configurations: the canonical form is the
@@ -313,6 +454,13 @@ let suite =
     Alcotest.test_case "shard count rounds to a power of two" `Quick test_shard_rounding;
     QCheck_alcotest.to_alcotest prop_concurrent_inserts;
     Alcotest.test_case "shard distribution is sane" `Quick test_shard_distribution;
+    Alcotest.test_case "one shard grows under 4 racing domains" `Quick test_concurrent_growth;
+    Alcotest.test_case "keys separate adversarial near-equal pairs" `Quick
+      test_key_adversarial_pairs;
+    Alcotest.test_case "key exact on every probed configuration, instant" `Quick
+      (test_key_exact Nvm.Memory.Instant);
+    Alcotest.test_case "key exact on every probed configuration, explicit" `Quick
+      (test_key_exact Nvm.Memory.Explicit);
     Alcotest.test_case "zoo verdicts pinned, crashes enabled" `Slow test_zoo_verdicts_pinned;
     Alcotest.test_case "zoo verdicts pinned, crash-free" `Slow
       test_zoo_verdicts_pinned_crash_free;
