@@ -22,8 +22,12 @@ val create_post_crash : Junk.t -> t
     arbitrary junk, matching the paper's "locals reset to arbitrary
     values". *)
 
-val copy : t -> t
-(** Independent copy, for machine cloning.  The copy carries no trail. *)
+val copy : t -> junk:Junk.t -> t
+(** Independent copy, for machine cloning.  The copy carries no trail.
+    If [t] is scrambled, the copy answers unbound lookups from [junk],
+    not from [t]'s generator: a machine's post-crash environments all
+    share the machine's generator, so a machine copy passes the copy of
+    that generator it keeps for itself. *)
 
 val set_trail : t -> Nvm.Trail.t option -> unit
 (** Attach (or detach) an undo trail: binding updates, cached junk draws

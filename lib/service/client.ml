@@ -8,7 +8,12 @@
    jitter-halved: delay drawn from [ceiling/2, ceiling)).  A timed-out
    request may still be executed by the shard afterwards — the service
    is at-least-once under client timeout, which the conservation check
-   accounts for by counting committed effects on the worker side. *)
+   accounts for by counting committed effects on the worker side.
+
+   Submission is batched per sweep: one pass over the sessions stages
+   every new submission and due retry into its shard's staging array,
+   then each shard with staged requests gets them all in one
+   [Shard.push_batch] — one lock acquisition per shard per sweep. *)
 
 module Torture = Runtime.Torture
 
@@ -118,28 +123,50 @@ let run t =
     s.issued_ns <- now;
     Obs.Metrics.Counter.incr c_requests
   in
-  let submit s now =
-    let rq = Shard.request ~key:s.key s.op in
-    match Shard.try_push t.shards.(s.shard) rq with
-    | `Ok ->
-      s.rq <- Some rq;
-      s.sent_ns <- now;
-      s.st <- waiting
-    | `Unavailable ->
-      Obs.Metrics.Counter.incr c_unavailable;
-      s.attempt <- s.attempt + 1;
-      s.not_before <- now + backoff_ns t s;
-      s.st <- backing_off
-    | `Rejected ->
-      Obs.Metrics.Counter.incr c_rejected;
-      s.attempt <- s.attempt + 1;
-      s.not_before <- now + backoff_ns t s;
-      s.st <- backing_off
+  (* per-shard staging, allocated once per run rather than per sweep
+     (and not in [create], which sits on the service's setup path):
+     [staged_rq.(sh)] holds the sweep's submissions to shard [sh],
+     [staged_ix.(sh)] their sessions *)
+  let cap = Array.length sessions in
+  let filler = Shard.request ~key:0 Robjects.Read in
+  let staged_rq = Array.init nshards (fun _ -> Array.make cap filler) in
+  let staged_ix = Array.init nshards (fun _ -> Array.make cap 0) in
+  let nstaged = Array.make nshards 0 in
+  let stage i s =
+    let n = nstaged.(s.shard) in
+    staged_rq.(s.shard).(n) <- Shard.request ~key:s.key s.op;
+    staged_ix.(s.shard).(n) <- i;
+    nstaged.(s.shard) <- n + 1
   in
-  let step s now =
+  let back_off s now c =
+    Obs.Metrics.Counter.incr c;
+    s.attempt <- s.attempt + 1;
+    s.not_before <- now + backoff_ns t s;
+    s.st <- backing_off
+  in
+  let flush now =
+    for sh = 0 to nshards - 1 do
+      let n = nstaged.(sh) in
+      if n > 0 then begin
+        let rqs = staged_rq.(sh) and ix = staged_ix.(sh) in
+        let k = Shard.push_batch t.shards.(sh) rqs n in
+        for j = 0 to n - 1 do
+          let s = sessions.(ix.(j)) in
+          if j < k then begin
+            s.rq <- Some rqs.(j);
+            s.sent_ns <- now;
+            s.st <- waiting
+          end
+          else back_off s now (if k = Shard.unavailable then c_unavailable else c_rejected)
+        done;
+        nstaged.(sh) <- 0
+      end
+    done
+  in
+  let step i s now =
     if s.st = idle then begin
       generate s now;
-      submit s now
+      stage i s
     end
     else if s.st = waiting then begin
       let rq = Option.get s.rq in
@@ -157,21 +184,21 @@ let run t =
         s.st <- idle
       end
       else if now - s.sent_ns > t.cfg.deadline_ns then begin
-        Obs.Metrics.Counter.incr c_timeouts;
-        s.rq <- None;
         (* abandon and re-submit: at-least-once *)
-        s.attempt <- s.attempt + 1;
-        s.not_before <- now + backoff_ns t s;
-        s.st <- backing_off
+        s.rq <- None;
+        back_off s now c_timeouts
       end
     end
     else if now >= s.not_before then begin
       Obs.Metrics.Counter.incr c_retries;
-      submit s now
+      stage i s
     end
   in
   while not (Atomic.get t.stop) do
     let now = Obs.Clock.now_ns () in
-    Array.iter (fun s -> step s now) sessions;
+    for i = 0 to cap - 1 do
+      step i sessions.(i) now
+    done;
+    flush now;
     Domain.cpu_relax ()
   done

@@ -39,4 +39,6 @@ val create : config -> shards:Shard.t array -> stop:bool Atomic.t -> t
 
 val run : t -> unit
 (** The event loop; returns once [stop] is set (outstanding requests
-    are abandoned).  Run in its own domain. *)
+    are abandoned).  Each sweep over the sessions hands every shard its
+    new submissions and due retries in one [Shard.push_batch].  Run in
+    its own domain. *)

@@ -13,6 +13,16 @@
    the latency spike, plus [Unavailable] on submissions attempted while
    the shard is down.
 
+   Queue protocol — both ends pay one lock acquisition per batch, not
+   per request: a client pushes everything one sweep staged for this
+   shard under one lock ([push_batch]); the worker, when its [batch] is
+   empty, moves everything queued into it under one lock and serves it
+   in FIFO order without the lock.  The drained batch is part of the
+   parked queue: a kill leaves it in place and its requests are
+   answered after recovery.  [q_len] counts queued plus drained but not
+   yet started requests, so the bound and the shed watermark mean what
+   they meant with a per-request pop.
+
    Degradation ladder, least to most drastic:
    1. bounded queue — submissions beyond [queue_bound] are rejected
       newest-first at the push ([`Rejected]);
@@ -58,7 +68,8 @@ type t = {
   objs : Robjects.t;
   q : request Queue.t;
   q_mutex : Mutex.t;
-  q_len : int Atomic.t;
+  batch : request Queue.t;  (** worker-owned: drained from [q], not yet started *)
+  q_len : int Atomic.t;  (** [q] plus [batch] *)
   status : int Atomic.t;
   kill : bool Atomic.t;
   stop : bool Atomic.t;
@@ -78,6 +89,7 @@ let create ~sid ~keys ~seed cfg =
     objs = Robjects.create ~keys;
     q = Queue.create ();
     q_mutex = Mutex.create ();
+    batch = Queue.create ();
     q_len = Atomic.make 0;
     status = Atomic.make healthy;
     kill = Atomic.make false;
@@ -94,32 +106,55 @@ let create ~sid ~keys ~seed cfg =
 let queue_length t = Atomic.get t.q_len
 let is_healthy t = Atomic.get t.status = healthy
 
-(* Client side: submit a request.  Refusals are cheap and touch no
-   shared state beyond the atomics. *)
-let try_push t rq =
-  if Atomic.get t.status <> healthy then `Unavailable
+(* Client side: submit [rqs.(0) .. rqs.(n-1)], oldest first, under one
+   lock acquisition.  Accepts the longest prefix that fits under the
+   bound — the rest is rejected newest-first — and returns its length,
+   or [unavailable] while the shard is down.  A refusal while down
+   touches no shared state beyond the atomics.  [q_len] only grows under
+   the lock, so the bound holds against concurrent clients; the worker
+   only shrinks it. *)
+let unavailable = -1
+
+let push_batch t rqs n =
+  if Atomic.get t.status <> healthy then unavailable
   else begin
     Mutex.lock t.q_mutex;
-    let n = Queue.length t.q in
-    if n >= t.cfg.queue_bound then begin
-      Mutex.unlock t.q_mutex;
-      `Rejected
-    end
-    else begin
-      Queue.push rq t.q;
-      Atomic.set t.q_len (n + 1);
-      Mutex.unlock t.q_mutex;
-      Atomic.incr t.pushed;
-      `Ok
-    end
+    let k = max 0 (min n (t.cfg.queue_bound - Atomic.get t.q_len)) in
+    for i = 0 to k - 1 do
+      Queue.push rqs.(i) t.q
+    done;
+    ignore (Atomic.fetch_and_add t.q_len k);
+    Mutex.unlock t.q_mutex;
+    if k > 0 then ignore (Atomic.fetch_and_add t.pushed k);
+    k
   end
 
-let pop t =
-  Mutex.lock t.q_mutex;
-  let r = if Queue.is_empty t.q then None else Some (Queue.pop t.q) in
-  Atomic.set t.q_len (Queue.length t.q);
-  Mutex.unlock t.q_mutex;
-  r
+let try_push t rq =
+  match push_batch t [| rq |] 1 with
+  | 1 -> `Ok
+  | 0 -> `Rejected
+  | _ -> `Unavailable
+
+(* Worker side: the next request in service order, or [none].  An empty
+   batch is refilled from the queue under one lock; an empty queue is
+   seen through [q_len] without taking the lock at all. *)
+let none = request ~key:(-1) Robjects.Read
+
+let next t =
+  if Queue.is_empty t.batch && Atomic.get t.q_len > 0 then begin
+    Mutex.lock t.q_mutex;
+    Queue.transfer t.q t.batch;
+    Mutex.unlock t.q_mutex
+  end;
+  if Queue.is_empty t.batch then none
+  else begin
+    Atomic.decr t.q_len;
+    Queue.take t.batch
+  end
+
+let take t =
+  let rq = next t in
+  if rq == none then None else Some rq
 
 let answer rq status result =
   rq.rq_result <- result;
@@ -229,22 +264,26 @@ let run t =
          request, then fall back to a crash between operations *)
       let deadline = Obs.Clock.now_ns () + kill_wait_ns in
       let rec await () =
-        match pop t with
-        | Some rq -> exec_rq rq ~armed:true
-        | None ->
-          if Obs.Clock.now_ns () < deadline && not (Atomic.get t.stop) then begin
-            Domain.cpu_relax ();
-            await ()
-          end
-          else handle_crash t cs None
+        let rq = next t in
+        if rq != none then exec_rq rq ~armed:true
+        else if Obs.Clock.now_ns () < deadline && not (Atomic.get t.stop) then begin
+          Domain.cpu_relax ();
+          await ()
+        end
+        else handle_crash t cs None
       in
       await ();
       loop ()
     end
-    else
-      match pop t with
-      | None -> if Atomic.get t.stop then () else (Domain.cpu_relax (); loop ())
-      | Some rq ->
+    else begin
+      let rq = next t in
+      if rq == none then begin
+        if not (Atomic.get t.stop) then begin
+          Domain.cpu_relax ();
+          loop ()
+        end
+      end
+      else begin
         (match rq.rq_op with
         | Robjects.Read
           when queue_length t >= shed_watermark t
@@ -254,5 +293,7 @@ let run t =
           answer rq st_shed 0
         | _ -> exec_rq rq ~armed:false);
         loop ()
+      end
+    end
   in
   loop ()

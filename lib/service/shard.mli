@@ -38,7 +38,10 @@ type t = {
   objs : Robjects.t;
   q : request Queue.t;
   q_mutex : Mutex.t;
-  q_len : int Atomic.t;
+  batch : request Queue.t;
+      (** worker-owned: requests drained from [q] under one lock and not
+          yet started; part of the parked queue, so a kill keeps them *)
+  q_len : int Atomic.t;  (** queued plus drained-but-not-started *)
   status : int Atomic.t;
   kill : bool Atomic.t;  (** adversary sets; worker clears when healthy again *)
   stop : bool Atomic.t;
@@ -53,11 +56,28 @@ type t = {
 
 val create : sid:int -> keys:int -> seed:int -> config -> t
 
+val unavailable : int
+(** What {!push_batch} returns while the shard is down. *)
+
+val push_batch : t -> request array -> int -> int
+(** [push_batch t rqs n] submits [rqs.(0) .. rqs.(n-1)], oldest first,
+    under one lock acquisition.  It accepts the longest prefix that fits
+    under [queue_bound] and returns its length; the rest are
+    [`Rejected], newest-first.  While the shard is killed or recovering
+    it accepts none and returns {!unavailable}. *)
+
 val try_push : t -> request -> [ `Ok | `Rejected | `Unavailable ]
-(** Submit a request: [`Unavailable] while killed or recovering,
-    [`Rejected] when the queue is at its bound. *)
+(** {!push_batch} of one request. *)
+
+val take : t -> request option
+(** The worker's next request in service order (FIFO): the head of its
+    drained batch, refilled from the queue under one lock when empty.
+    {!run} serves through it; call it only where no worker runs. *)
 
 val queue_length : t -> int
+(** Queued plus drained-but-not-started requests: what the bound and
+    the 3/4 shed watermark count. *)
+
 val is_healthy : t -> bool
 
 val run : t -> unit

@@ -27,7 +27,7 @@ let test_env_scramble () =
 let test_env_copy_isolated () =
   let e = Env.create () in
   Env.set e "x" (Nvm.Value.Int 1);
-  let e2 = Env.copy e in
+  let e2 = Env.copy e ~junk:(Junk.create 1) in
   Env.set e2 "x" (Nvm.Value.Int 2);
   Alcotest.check value "original unchanged" (Int 1) (Env.get e "x")
 
@@ -160,6 +160,77 @@ let test_clone_isolation () =
   Alcotest.check value "clone wrote" (Int 3) (Nvm.Memory.peek (Sim.mem c) cell);
   Alcotest.check value "original untouched" Null (Nvm.Memory.peek (Sim.mem sim) cell);
   Alcotest.(check int) "original history unchanged" 1 (History.length (Sim.history sim))
+
+(* A clone must behave exactly like its original from the moment it is
+   taken.  Random walks clone at step 8..17, then apply the same moves
+   (steps, crashes, recoveries) to both machines and compare their
+   fingerprint keys after every move.  Post-crash environments draw junk
+   from the machine's generator, so a clone whose frames drew from
+   private copies of it diverges at the first crash after the clone. *)
+let clone_walks (scen : Workload.Trial.scenario) ~walks =
+  let compared = ref 0 in
+  for w = 1 to walks do
+    let rng = Random.State.make [| w; Hashtbl.hash scen.Workload.Trial.scen_name |] in
+    let sim = Sim.create ~seed:(1 + w) ~nprocs:scen.Workload.Trial.nprocs () in
+    scen.Workload.Trial.build sim;
+    let clone_at = 8 + Random.State.int rng 10 in
+    let copy = ref None and crashes = ref 0 in
+    let moves () =
+      List.concat_map
+        (fun p ->
+          (if Sim.enabled sim p then [ `Step p ] else [])
+          @ (if Sim.can_recover sim p then [ `Recover p ] else [])
+          @
+          if !crashes < 3 && Sim.can_crash sim p && Random.State.int rng 100 < 15 then
+            [ `Crash p ]
+          else [])
+        (List.init (Sim.nprocs sim) Fun.id)
+    in
+    let apply m s =
+      match m with
+      | `Step p -> Sim.step s p
+      | `Crash p -> Sim.crash s p
+      | `Recover p -> Sim.recover s p
+    in
+    let rec go i =
+      if i = clone_at then copy := Some (Sim.clone sim);
+      match moves () with
+      | [] -> ()
+      | ms when i < 80 ->
+        let m = List.nth ms (Random.State.int rng (List.length ms)) in
+        (match m with `Crash _ -> incr crashes | _ -> ());
+        apply m sim;
+        (match !copy with
+        | None -> ()
+        | Some c ->
+          apply m c;
+          incr compared;
+          if Fingerprint.Key.of_sim sim <> Fingerprint.Key.of_sim c then
+            Alcotest.failf "%s walk %d: clone diverged after move %d (%s)"
+              scen.Workload.Trial.scen_name w i
+              (match m with
+              | `Step p -> Printf.sprintf "step p%d" p
+              | `Crash p -> Printf.sprintf "crash p%d" p
+              | `Recover p -> Printf.sprintf "recover p%d" p));
+        go (i + 1)
+      | _ -> ()
+    in
+    go 0
+  done;
+  !compared
+
+let test_clone_tracks_original () =
+  let open Workload.Scenarios in
+  let total =
+    List.fold_left
+      (fun acc scen -> acc + clone_walks scen ~walks:300)
+      0
+      [
+        register ~nprocs:2 (); cas ~nprocs:2 (); tas ~nprocs:2 (); counter ~nprocs:2 ();
+        mutex ~nprocs:2 (); consensus ~nprocs:2 (); pcall ~nprocs:2 ();
+      ]
+  in
+  Alcotest.(check bool) "states compared" true (total > 10_000)
 
 let test_determinism_same_seed () =
   let run () =
@@ -312,6 +383,7 @@ let suite =
     Alcotest.test_case "LI tracks last started line" `Quick test_li_tracks_last_started_line;
     Alcotest.test_case "invalid transitions rejected" `Quick test_invalid_transitions_rejected;
     Alcotest.test_case "clone isolation" `Quick test_clone_isolation;
+    Alcotest.test_case "clone tracks its original" `Quick test_clone_tracks_original;
     Alcotest.test_case "determinism with same seed" `Quick test_determinism_same_seed;
     Alcotest.test_case "round robin completes" `Quick test_round_robin_completes_multi;
     Alcotest.test_case "computed script args" `Quick test_compute_args;

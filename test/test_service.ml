@@ -188,28 +188,62 @@ let shard_cfg ?(queue_bound = 8) ?(shed_fraction = 0.0) () =
     recrash_prob = 0.0;
   }
 
+let shard_counter sh name =
+  match Obs.Metrics.view sh.Service.Shard.reg name with
+  | Some (Obs.Metrics.Counter n) -> n
+  | _ -> 0
+
+let read_rq () = Service.Shard.request ~key:0 Service.Robjects.Read
+
+let expect_next sh rq what =
+  match Service.Shard.take sh with
+  | Some got -> Alcotest.(check bool) what true (got == rq)
+  | None -> Alcotest.failf "%s: queue empty" what
+
 let test_shard_reject_and_unavailable () =
   let sh = Service.Shard.create ~sid:0 ~keys:5 ~seed:1 (shard_cfg ~queue_bound:4 ()) in
-  (* queue bound: the 5th submission is rejected newest-first *)
-  for _ = 1 to 4 do
-    match Service.Shard.try_push sh (Service.Shard.request ~key:0 Service.Robjects.Read) with
-    | `Ok -> ()
-    | _ -> Alcotest.fail "push within the bound refused"
-  done;
-  (match Service.Shard.try_push sh (Service.Shard.request ~key:0 Service.Robjects.Read) with
+  (* a batch bigger than the free room: the prefix that fits is
+     accepted, the rest rejected newest-first *)
+  let b = Array.init 6 (fun _ -> read_rq ()) in
+  Alcotest.(check int) "prefix accepted" 4 (Service.Shard.push_batch sh b 6);
+  Alcotest.(check int) "queue length" 4 (Service.Shard.queue_length sh);
+  (match Service.Shard.try_push sh (read_rq ()) with
   | `Rejected -> ()
   | _ -> Alcotest.fail "expected `Rejected at the bound");
-  Alcotest.(check int) "queue length" 4 (Service.Shard.queue_length sh);
-  (* killed/recovering shards refuse outright *)
+  (* the first take drains all four into the worker's batch; drained
+     but not started requests still count against the bound *)
+  expect_next sh b.(0) "oldest first";
+  Alcotest.(check int) "drained requests counted" 3 (Service.Shard.queue_length sh);
+  let late = read_rq () in
+  (match Service.Shard.try_push sh late with
+  | `Ok -> ()
+  | _ -> Alcotest.fail "push within the bound refused");
+  (match Service.Shard.try_push sh (read_rq ()) with
+  | `Rejected -> ()
+  | _ -> Alcotest.fail "expected `Rejected with the batch drained");
+  (* FIFO across two drains: the drained batch is served before what
+     was pushed after the drain *)
+  expect_next sh b.(1) "drained batch, second";
+  expect_next sh b.(2) "drained batch, third";
+  expect_next sh b.(3) "drained batch, fourth";
+  expect_next sh late "second drain";
+  Alcotest.(check bool) "empty" true (Service.Shard.take sh = None);
+  Alcotest.(check int) "queue length after service" 0 (Service.Shard.queue_length sh);
+  (* killed/recovering shards refuse outright, a whole batch at once *)
   Atomic.set sh.Service.Shard.status 1;
-  (match Service.Shard.try_push sh (Service.Shard.request ~key:0 Service.Robjects.Read) with
+  Alcotest.(check int) "batch unavailable" Service.Shard.unavailable
+    (Service.Shard.push_batch sh (Array.init 3 (fun _ -> read_rq ())) 3);
+  (match Service.Shard.try_push sh (read_rq ()) with
   | `Unavailable -> ()
   | _ -> Alcotest.fail "expected `Unavailable while recovering");
+  Alcotest.(check int) "nothing queued while down" 0 (Service.Shard.queue_length sh);
   Alcotest.(check bool) "not healthy" false (Service.Shard.is_healthy sh)
 
 let test_shard_sheds_reads_above_watermark () =
   (* queue 8 reads with shed fraction 1.0: pops with >= 6 (the 3/4
-     watermark) still queued are shed, the rest execute *)
+     watermark) still queued are shed, the rest execute.  The worker's
+     first drain moves all eight into its batch, so this also checks
+     that the watermark counts drained-but-not-started requests. *)
   let sh =
     Service.Shard.create ~sid:0 ~keys:5 ~seed:1 (shard_cfg ~queue_bound:8 ~shed_fraction:1.0 ())
   in
@@ -249,12 +283,82 @@ let test_shard_sheds_reads_above_watermark () =
   in
   Alcotest.(check int) "all answered" 8 (shed + ok);
   Alcotest.(check int) "pops above the watermark shed" 2 shed;
-  let shed_counter =
-    match Obs.Metrics.view sh.Service.Shard.reg Obs.Names.service_shed with
-    | Some (Obs.Metrics.Counter n) -> n
-    | _ -> 0
-  in
-  Alcotest.(check int) "service.shed counted" 2 shed_counter
+  Alcotest.(check int) "service.shed counted" 2 (shard_counter sh Obs.Names.service_shed)
+
+let counter_incs n = Array.init n (fun _ -> Service.Shard.request ~key:0 (Service.Robjects.Update 0))
+
+let test_shard_kill_keeps_drained_batch () =
+  (* key 0 is a counter: INC answers the new count, so the answers
+     spell out the service order.  An INC passes at least four crash
+     points, so the worker's armed crash (drawn from the first four)
+     always strikes the first request — with the other seven already
+     drained into the worker's batch. *)
+  (let objs = Service.Robjects.create ~keys:1 and p = Service.Robjects.pending_create () in
+   let cp = Runtime.Crash.create () in
+   Service.Robjects.begin_op p ~key:0 (Service.Robjects.Update 0);
+   Runtime.Crash.arm cp 3;
+   match Service.Robjects.exec objs ~cp p with
+   | _ -> Alcotest.fail "an INC passes fewer than four crash points"
+   | exception Runtime.Crash.Crashed -> ());
+  let sh = Service.Shard.create ~sid:0 ~keys:5 ~seed:1 (shard_cfg ()) in
+  let rqs = counter_incs 8 in
+  Alcotest.(check int) "all queued" 8 (Service.Shard.push_batch sh rqs 8);
+  Atomic.set sh.Service.Shard.kill true;
+  Atomic.set sh.Service.Shard.stop true;
+  (* run the worker on this domain: it crashes, recovers, serves the
+     rest and returns once stopped and drained *)
+  Service.Shard.run sh;
+  Alcotest.(check int) "one crash" 1 (shard_counter sh Obs.Names.service_crashes);
+  Alcotest.(check int) "one recovery" 1 (shard_counter sh Obs.Names.service_recoveries);
+  Alcotest.(check bool) "kill acknowledged" false (Atomic.get sh.Service.Shard.kill);
+  Array.iteri
+    (fun i rq ->
+      Alcotest.(check int) "answered ok" Service.Shard.st_ok (Atomic.get rq.Service.Shard.rq_status);
+      Alcotest.(check int) "FIFO, exactly once" (i + 1) rq.Service.Shard.rq_result)
+    rqs;
+  Alcotest.(check int) "ledger" 8 sh.Service.Shard.expected.(0);
+  Alcotest.(check int) "conservation" sh.Service.Shard.expected.(0)
+    (Service.Robjects.final_value sh.Service.Shard.objs 0);
+  Alcotest.(check int) "queue empty" 0 (Service.Shard.queue_length sh)
+
+let test_shard_fifo_under_concurrent_batches () =
+  (* a client-like producer pushes counter INCs in batches of 1..16
+     against a bound of 8 while the worker drains; rejected suffixes are
+     re-pushed in order.  FIFO and exactly-once service means the INCs
+     answer 1..n in acceptance order. *)
+  let n = 2_000 in
+  let sh = Service.Shard.create ~sid:0 ~keys:5 ~seed:1 (shard_cfg ()) in
+  let worker = Domain.spawn (fun () -> Service.Shard.run sh) in
+  let rqs = counter_incs n in
+  let rng = Runtime.Torture.rng_create 5 in
+  let staged = Array.make 16 rqs.(0) in
+  let next = ref 0 and rejected = ref 0 in
+  let deadline = Obs.Clock.now_ns () + 10_000_000_000 in
+  while !next < n && Obs.Clock.now_ns () < deadline do
+    let m = min (n - !next) (1 + Runtime.Torture.rng_int rng 16) in
+    Array.blit rqs !next staged 0 m;
+    let k = Service.Shard.push_batch sh staged m in
+    if k < m then incr rejected;
+    next := !next + k;
+    Domain.cpu_relax ()
+  done;
+  Array.iter
+    (fun rq ->
+      while
+        Atomic.get rq.Service.Shard.rq_status = Service.Shard.st_pending
+        && Obs.Clock.now_ns () < deadline
+      do
+        Domain.cpu_relax ()
+      done)
+    rqs;
+  Atomic.set sh.Service.Shard.stop true;
+  Domain.join worker;
+  Alcotest.(check int) "all accepted" n !next;
+  Alcotest.(check bool) "the bound was hit" true (!rejected > 0);
+  Array.iteri
+    (fun i rq -> Alcotest.(check int) "FIFO, exactly once" (i + 1) rq.Service.Shard.rq_result)
+    rqs;
+  Alcotest.(check int) "conservation" n (Service.Robjects.final_value sh.Service.Shard.objs 0)
 
 (* {2 Engine: conservation under injected kills, determinism} *)
 
@@ -336,6 +440,10 @@ let suite =
       test_shard_reject_and_unavailable;
     Alcotest.test_case "ladder: reads shed above the watermark" `Quick
       test_shard_sheds_reads_above_watermark;
+    Alcotest.test_case "queue: a kill keeps the drained batch" `Quick
+      test_shard_kill_keeps_drained_batch;
+    Alcotest.test_case "queue: FIFO under concurrent batches" `Quick
+      test_shard_fifo_under_concurrent_batches;
     Alcotest.test_case "engine: conservation under poisson kills" `Quick
       test_engine_conservation_under_kills;
     Alcotest.test_case "engine: crash ledger replays for a seed" `Quick
