@@ -12,8 +12,6 @@
     produces a byte-identical file however often it is re-run or
     resumed. *)
 
-module Json = Machine.Checkpoint.Json
-
 let schema_version = "nrl-corpus/1"
 
 type entry = {
@@ -52,147 +50,101 @@ type t = {
 
 (* {2 Writing} *)
 
-let esc = Machine.Checkpoint.json_escape
-
-let buf_entry b e =
-  Buffer.add_string b
-    (Printf.sprintf "{\"type\":\"entry\",\"index\":%d,\"desc\":\"%s\",\"cov\":[" e.e_index
-       (esc e.e_desc));
-  List.iteri
-    (fun i h ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int h))
-    e.e_cov;
-  Buffer.add_string b "]}\n"
-
-let buf_violation b x =
-  Buffer.add_string b
-    (Printf.sprintf "{\"type\":\"violation\",\"index\":%d,\"desc\":\"%s\",\"reason\":\"%s\""
-       x.x_index (esc x.x_desc) (esc x.x_reason));
-  (match x.x_shrunk, x.x_shrunk_reason with
-  | Some d, Some r ->
-    Buffer.add_string b
-      (Printf.sprintf ",\"shrunk\":\"%s\",\"shrunk_reason\":\"%s\"" (esc d) (esc r))
-  | _ -> ());
-  Buffer.add_string b (Printf.sprintf ",\"shrink_steps\":%d}\n" x.x_shrink_steps)
-
-let to_string t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b (Printf.sprintf "{\"schema\":\"%s\"}\n" schema_version);
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b
-        (Printf.sprintf "{\"type\":\"stamp\",\"key\":\"%s\",\"value\":\"%s\"}\n" (esc k) (esc v)))
-    t.stamp;
-  List.iter (buf_entry b) t.entries;
-  List.iter (buf_violation b) t.violations;
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"type\":\"progress\",\"next\":%d,\"runs\":%d,\"new_coverage\":%d,\"violations\":%d,\"shrink_steps\":%d,\"corpus_entries\":%d}\n"
-       t.next t.stats.runs t.stats.new_coverage t.stats.violations t.stats.shrink_steps
-       t.stats.corpus_entries);
-  (match t.result with
-  | Some (verdict, detail) ->
-    Buffer.add_string b
-      (Printf.sprintf "{\"type\":\"result\",\"verdict\":\"%s\",\"detail\":\"%s\"}\n" (esc verdict)
-         (esc detail))
-  | None -> ());
-  Buffer.contents b
-
 let save ~path t =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc (to_string t);
-  close_out oc;
-  Sys.rename tmp path
+  let open Obs.Json in
+  let record ty fs = Obj (("type", Str ty) :: fs) in
+  let entry e =
+    record "entry"
+      [
+        ("index", Int e.e_index);
+        ("desc", Str e.e_desc);
+        ("cov", Arr (List.map (fun h -> Int h) e.e_cov));
+      ]
+  in
+  let violation x =
+    let shrunk =
+      match x.x_shrunk, x.x_shrunk_reason with
+      | Some d, Some r -> [ ("shrunk", Str d); ("shrunk_reason", Str r) ]
+      | _ -> []
+    in
+    record "violation"
+      ([ ("index", Int x.x_index); ("desc", Str x.x_desc); ("reason", Str x.x_reason) ]
+      @ shrunk
+      @ [ ("shrink_steps", Int x.x_shrink_steps) ])
+  in
+  let progress =
+    record "progress"
+      [
+        ("next", Int t.next);
+        ("runs", Int t.stats.runs);
+        ("new_coverage", Int t.stats.new_coverage);
+        ("violations", Int t.stats.violations);
+        ("shrink_steps", Int t.stats.shrink_steps);
+        ("corpus_entries", Int t.stats.corpus_entries);
+      ]
+  in
+  let result =
+    match t.result with
+    | Some (verdict, detail) -> [ record "result" [ ("verdict", Str verdict); ("detail", Str detail) ] ]
+    | None -> []
+  in
+  write_ndjson ~path
+    ((Obj [ ("schema", Str schema_version) ]
+     :: List.map (fun (k, v) -> record "stamp" [ ("key", Str k); ("value", Str v) ]) t.stamp)
+    @ List.map entry t.entries
+    @ List.map violation t.violations
+    @ (progress :: result))
 
 (* {2 Reading} *)
 
 let load path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let lines = ref [] in
-        (try
-           while true do
-             let l = input_line ic in
-             if String.trim l <> "" then lines := l :: !lines
-           done
-         with End_of_file -> ());
-        List.rev !lines)
-  with
-  | exception Sys_error m -> Error m
-  | [] -> Error (path ^ ": empty corpus")
-  | header :: rest -> (
-    try
-      let j = Json.parse header in
-      let schema = Json.to_string (Json.member "schema" j) in
-      if schema <> schema_version then
-        Error (Printf.sprintf "%s: schema %S, expected %S" path schema schema_version)
-      else begin
-        let stamp = ref [] and entries = ref [] and violations = ref [] in
-        let next = ref 0 and stats = ref zero_stats and result = ref None in
-        List.iter
-          (fun line ->
-            let j = Json.parse line in
-            match Json.to_string (Json.member "type" j) with
-            | "stamp" ->
-              stamp :=
-                (Json.to_string (Json.member "key" j), Json.to_string (Json.member "value" j))
-                :: !stamp
-            | "entry" ->
-              entries :=
-                {
-                  e_index = Json.to_int (Json.member "index" j);
-                  e_desc = Json.to_string (Json.member "desc" j);
-                  e_cov = List.map Json.to_int (Json.to_list (Json.member "cov" j));
-                }
-                :: !entries
-            | "violation" ->
-              let opt_str k =
-                match Json.member k j with
-                | s -> Some (Json.to_string s)
-                | exception Json.Bad _ -> None
-              in
-              violations :=
-                {
-                  x_index = Json.to_int (Json.member "index" j);
-                  x_desc = Json.to_string (Json.member "desc" j);
-                  x_reason = Json.to_string (Json.member "reason" j);
-                  x_shrunk = opt_str "shrunk";
-                  x_shrunk_reason = opt_str "shrunk_reason";
-                  x_shrink_steps = Json.to_int (Json.member "shrink_steps" j);
-                }
-                :: !violations
-            | "progress" ->
-              next := Json.to_int (Json.member "next" j);
-              stats :=
-                {
-                  runs = Json.to_int (Json.member "runs" j);
-                  new_coverage = Json.to_int (Json.member "new_coverage" j);
-                  violations = Json.to_int (Json.member "violations" j);
-                  shrink_steps = Json.to_int (Json.member "shrink_steps" j);
-                  corpus_entries = Json.to_int (Json.member "corpus_entries" j);
-                }
-            | "result" ->
-              result :=
-                Some
-                  ( Json.to_string (Json.member "verdict" j),
-                    Json.to_string (Json.member "detail" j) )
-            | other -> raise (Json.Bad (Printf.sprintf "unknown record type %S" other)))
-          rest;
-        Ok
-          {
-            stamp = List.rev !stamp;
-            entries = List.rev !entries;
-            violations = List.rev !violations;
-            next = !next;
-            stats = !stats;
-            result = !result;
-          }
-      end
-    with
-    | Json.Bad m -> Error (Printf.sprintf "%s: %s" path m)
-    | Failure m -> Error (Printf.sprintf "%s: %s" path m))
+  let stamp = ref [] and entries = ref [] and violations = ref [] in
+  let next = ref 0 and stats = ref zero_stats and result = ref None in
+  let record j =
+    let open Obs.Json in
+    let str k = to_string (member k j) and int k = to_int (member k j) in
+    match str "type" with
+    | "stamp" -> stamp := (str "key", str "value") :: !stamp
+    | "entry" ->
+      entries :=
+        {
+          e_index = int "index";
+          e_desc = str "desc";
+          e_cov = List.map to_int (to_list (member "cov" j));
+        }
+        :: !entries
+    | "violation" ->
+      let opt_str k = Option.map to_string (member_opt k j) in
+      violations :=
+        {
+          x_index = int "index";
+          x_desc = str "desc";
+          x_reason = str "reason";
+          x_shrunk = opt_str "shrunk";
+          x_shrunk_reason = opt_str "shrunk_reason";
+          x_shrink_steps = int "shrink_steps";
+        }
+        :: !violations
+    | "progress" ->
+      next := int "next";
+      stats :=
+        {
+          runs = int "runs";
+          new_coverage = int "new_coverage";
+          violations = int "violations";
+          shrink_steps = int "shrink_steps";
+          corpus_entries = int "corpus_entries";
+        }
+    | "result" -> result := Some (str "verdict", str "detail")
+    | other -> raise (Malformed (Printf.sprintf "unknown record type %S" other))
+  in
+  Obs.Json.read_ndjson ~what:"corpus" ~schemas:[ schema_version ] path record
+  |> Result.map (fun () ->
+         {
+           stamp = List.rev !stamp;
+           entries = List.rev !entries;
+           violations = List.rev !violations;
+           next = !next;
+           stats = !stats;
+           result = !result;
+         })

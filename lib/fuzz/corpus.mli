@@ -51,9 +51,6 @@ type t = {
           campaign ran its whole budget; [None] while resumable *)
 }
 
-val to_string : t -> string
-(** The serialised NDJSON document (what {!save} writes). *)
-
 val save : path:string -> t -> unit
 (** Serialize atomically: write [path ^ ".tmp"], then rename over
     [path]. *)

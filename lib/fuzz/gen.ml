@@ -226,8 +226,8 @@ let run ?obs ?collect d =
       ~system_crash_prob:(float_of_int d.system_pm /. 1000.0)
       ~seed:d.sched_seed ()
   in
-  (* masked to 53 bits so corpus hashes survive the JSON float round-trip
-     exactly (doubles represent integers up to 2^53) *)
+  (* masked to 53 bits: a float-based corpus reader once needed it, and
+     keeping the mask keeps saved corpora's hashes valid on resume *)
   let touch () =
     match collect with
     | None -> ()

@@ -12,9 +12,10 @@
     {b Format.}  NDJSON, schema ["nrl-checkpoint/3"], first line a [meta]
     record carrying the schema tag.  One line per scenario pair, one
     [totals] line, one line per task (the index is implicit), one line
-    per metric view (same encodings as the [nrl-trace/1] metric
-    records), and at most one [result] line.  The format is append-free:
-    every {!save} rewrites the whole file.
+    per metric view ({!Obs.Trace.metric_record}, the [nrl-trace/1]
+    metric records), and at most one [result] line.  The format is
+    append-free: every {!save} rewrites the whole file.  Lines are
+    written and read by {!Obs.Json}.
 
     Version 3 adds the ["k<mask>"] decision token for full-system crash
     decisions ({!Schedule.Dcrash_sys}) used by explicit-persist
@@ -34,193 +35,7 @@ let schema_version = "nrl-checkpoint/3"
 (* accepted on load; [save] always writes the current version *)
 let compatible_schemas = [ schema_version; "nrl-checkpoint/2"; "nrl-checkpoint/1" ]
 
-(* ---------- JSON (subset) ---------- *)
-
-(* The trace/bench writers in this codebase deliberately avoid a JSON
-   dependency; the checkpoint reader keeps the symmetry with a ~60-line
-   recursive-descent parser for the subset our own writer emits (and any
-   standard-conforming equivalent). *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Bad of string
-
-  let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
-
-  let parse (s : string) : t =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | Some c' -> bad "expected %c at %d, found %c" c !pos c'
-      | None -> bad "expected %c at %d, found end of input" c !pos
-    in
-    let literal lit v =
-      if !pos + String.length lit <= n && String.sub s !pos (String.length lit) = lit then begin
-        pos := !pos + String.length lit;
-        v
-      end
-      else bad "bad literal at %d" !pos
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec loop () =
-        if !pos >= n then bad "unterminated string";
-        let c = s.[!pos] in
-        advance ();
-        if c = '"' then Buffer.contents b
-        else if c = '\\' then begin
-          (if !pos >= n then bad "unterminated escape";
-           let e = s.[!pos] in
-           advance ();
-           match e with
-           | '"' -> Buffer.add_char b '"'
-           | '\\' -> Buffer.add_char b '\\'
-           | '/' -> Buffer.add_char b '/'
-           | 'n' -> Buffer.add_char b '\n'
-           | 't' -> Buffer.add_char b '\t'
-           | 'r' -> Buffer.add_char b '\r'
-           | 'b' -> Buffer.add_char b '\b'
-           | 'f' -> Buffer.add_char b '\012'
-           | 'u' ->
-             if !pos + 4 > n then bad "truncated \\u escape";
-             let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-             pos := !pos + 4;
-             (* our writer only escapes ASCII control characters; decode
-                the low byte and keep going for anything exotic *)
-             Buffer.add_char b (Char.chr (code land 0xff))
-           | c -> bad "bad escape \\%c" c);
-          loop ()
-        end
-        else begin
-          Buffer.add_char b c;
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let num_char c =
-        match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-      in
-      while (match peek () with Some c when num_char c -> true | _ -> false) do
-        advance ()
-      done;
-      if !pos = start then bad "expected a number at %d" start;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> f
-      | None -> bad "bad number at %d" start
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | Some '"' -> Str (parse_string ())
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              members ((k, v) :: acc)
-            | Some '}' ->
-              advance ();
-              Obj (List.rev ((k, v) :: acc))
-            | _ -> bad "expected , or } at %d" !pos
-          in
-          members []
-        end
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              elements (v :: acc)
-            | Some ']' ->
-              advance ();
-              Arr (List.rev (v :: acc))
-            | _ -> bad "expected , or ] at %d" !pos
-          in
-          elements []
-        end
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> Num (parse_number ())
-      | None -> bad "unexpected end of input"
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then bad "trailing garbage at %d" !pos;
-    v
-
-  let member k = function
-    | Obj kvs -> (
-      match List.assoc_opt k kvs with Some v -> v | None -> bad "missing field %S" k)
-    | _ -> bad "expected an object for field %S" k
-
-  let to_int = function
-    | Num f -> int_of_float f
-    | _ -> bad "expected a number"
-
-  let to_string = function Str s -> s | _ -> bad "expected a string"
-  let to_bool = function Bool b -> b | _ -> bad "expected a boolean"
-  let to_list = function Arr l -> l | _ -> bad "expected an array"
-end
-
-(* Same escaping discipline as Obs.Trace. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Obs.Json.escape
 
 (* ---------- decision paths ---------- *)
 
@@ -236,15 +51,17 @@ let decision_of_token tok =
   if tok = "h" then Schedule.Dhalt
   else if String.length tok < 2 then fail ()
   else
-    match int_of_string_opt (String.sub tok 1 (String.length tok - 1)) with
-    | None -> fail ()
-    | Some p -> (
+    (* decimal digits only: int_of_string alone also takes "0x1", "1_0", "-2" *)
+    let arg = String.sub tok 1 (String.length tok - 1) in
+    match int_of_string_opt arg with
+    | Some p when String.for_all (fun c -> c >= '0' && c <= '9') arg -> (
       match tok.[0] with
       | 's' -> Schedule.Dstep p
       | 'c' -> Schedule.Dcrash p
       | 'k' -> Schedule.Dcrash_sys p
       | 'r' -> Schedule.Drecover p
       | _ -> fail ())
+    | _ -> fail ()
 
 let path_to_string path = String.concat " " (List.map decision_token path)
 
@@ -285,135 +102,74 @@ type t = {
           resumable *)
 }
 
-let view_line name (v : Obs.Metrics.view) =
-  let name = json_escape name in
-  match v with
-  | Obs.Metrics.Counter n ->
-    Printf.sprintf "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%d}" name n
-  | Obs.Metrics.Timer { ns; intervals } ->
-    Printf.sprintf "{\"type\":\"timer\",\"name\":\"%s\",\"ns\":%d,\"intervals\":%d}" name ns
-      intervals
-  | Obs.Metrics.Histogram { count; sum; max_value; buckets } ->
-    let bs =
-      String.concat ","
-        (List.map (fun (le, n) -> Printf.sprintf "{\"le\":%d,\"n\":%d}" le n) buckets)
-    in
-    Printf.sprintf
-      "{\"type\":\"histogram\",\"name\":\"%s\",\"count\":%d,\"sum\":%d,\"max\":%d,\"buckets\":[%s]}"
-      name count sum max_value bs
-
 let save ~path t =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  let line fmt = Printf.ksprintf (fun s -> output_string oc s; output_char oc '\n') fmt in
-  line "{\"schema\":\"%s\",\"type\":\"meta\"}" schema_version;
-  List.iter (fun (k, v) -> line "{\"type\":\"scenario\",\"k\":\"%s\",\"v\":\"%s\"}" (json_escape k) (json_escape v)) t.scenario;
-  line "{\"type\":\"totals\",\"nodes\":%d,\"terminals\":%d,\"truncated\":%d,\"dup\":%d}"
-    t.totals.ck_nodes t.totals.ck_terminals t.totals.ck_truncated t.totals.ck_dup;
-  Array.iter
-    (fun task ->
-      line "{\"type\":\"task\",\"path\":\"%s\",\"crashes\":%d,\"done\":%b}"
-        (json_escape (path_to_string task.ck_path))
-        task.ck_crashes task.ck_done)
-    t.tasks;
-  List.iter (fun (name, v) -> line "%s" (view_line name v)) t.metrics;
-  (match t.result with
-  | Some (verdict, detail) ->
-    line "{\"type\":\"result\",\"verdict\":\"%s\",\"reason\":\"%s\"}" (json_escape verdict)
-      (json_escape detail)
-  | None -> ());
-  (* flush application and OS buffers before the rename makes it visible *)
-  close_out oc;
-  Sys.rename tmp path
+  let open Obs.Json in
+  let record ty fs = Obj (("type", Str ty) :: fs) in
+  let totals =
+    record "totals"
+      [
+        ("nodes", Int t.totals.ck_nodes);
+        ("terminals", Int t.totals.ck_terminals);
+        ("truncated", Int t.totals.ck_truncated);
+        ("dup", Int t.totals.ck_dup);
+      ]
+  in
+  let task tk =
+    record "task"
+      [
+        ("path", Str (path_to_string tk.ck_path));
+        ("crashes", Int tk.ck_crashes);
+        ("done", Bool tk.ck_done);
+      ]
+  in
+  let result =
+    match t.result with
+    | Some (verdict, detail) -> [ record "result" [ ("verdict", Str verdict); ("reason", Str detail) ] ]
+    | None -> []
+  in
+  write_ndjson ~path
+    ((Obj [ ("schema", Str schema_version); ("type", Str "meta") ]
+     :: List.map (fun (k, v) -> record "scenario" [ ("k", Str k); ("v", Str v) ]) t.scenario)
+    @ (totals :: List.map task (Array.to_list t.tasks))
+    @ List.map (fun (name, v) -> Obs.Trace.metric_record name v) t.metrics
+    @ result)
 
 let load path =
-  try
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do
-         let l = input_line ic in
-         if String.trim l <> "" then lines := l :: !lines
-       done
-     with End_of_file -> close_in ic);
-    let lines = List.rev !lines in
-    match lines with
-    | [] -> Error (Printf.sprintf "%s: empty checkpoint" path)
-    | meta :: rest ->
-      let open Json in
-      let j = parse meta in
-      let schema = to_string (member "schema" j) in
-      if not (List.mem schema compatible_schemas) then
-        Error (Printf.sprintf "%s: unsupported checkpoint schema %S (want %S)" path schema schema_version)
-      else begin
-        let scenario = ref [] in
-        let tasks = ref [] in
-        let totals = ref { ck_nodes = 0; ck_terminals = 0; ck_truncated = 0; ck_dup = 0 } in
-        let metrics = ref [] in
-        let result = ref None in
-        List.iter
-          (fun l ->
-            let j = parse l in
-            match to_string (member "type" j) with
-            | "scenario" ->
-              scenario := (to_string (member "k" j), to_string (member "v" j)) :: !scenario
-            | "totals" ->
-              totals :=
-                {
-                  ck_nodes = to_int (member "nodes" j);
-                  ck_terminals = to_int (member "terminals" j);
-                  ck_truncated = to_int (member "truncated" j);
-                  ck_dup = to_int (member "dup" j);
-                }
-            | "task" ->
-              tasks :=
-                {
-                  ck_path = path_of_string (to_string (member "path" j));
-                  ck_crashes = to_int (member "crashes" j);
-                  ck_done = to_bool (member "done" j);
-                }
-                :: !tasks
-            | "counter" ->
-              metrics :=
-                (to_string (member "name" j), Obs.Metrics.Counter (to_int (member "value" j)))
-                :: !metrics
-            | "timer" ->
-              metrics :=
-                ( to_string (member "name" j),
-                  Obs.Metrics.Timer
-                    { ns = to_int (member "ns" j); intervals = to_int (member "intervals" j) }
-                )
-                :: !metrics
-            | "histogram" ->
-              let buckets =
-                List.map
-                  (fun b -> (to_int (member "le" b), to_int (member "n" b)))
-                  (to_list (member "buckets" j))
-              in
-              metrics :=
-                ( to_string (member "name" j),
-                  Obs.Metrics.Histogram
-                    {
-                      count = to_int (member "count" j);
-                      sum = to_int (member "sum" j);
-                      max_value = to_int (member "max" j);
-                      buckets;
-                    } )
-                :: !metrics
-            | "result" ->
-              result := Some (to_string (member "verdict" j), to_string (member "reason" j))
-            | ty -> raise (Bad (Printf.sprintf "unknown record type %S" ty)))
-          rest;
-        Ok
+  let scenario = ref [] and tasks = ref [] and metrics = ref [] and result = ref None in
+  let totals = ref { ck_nodes = 0; ck_terminals = 0; ck_truncated = 0; ck_dup = 0 } in
+  let record j =
+    let open Obs.Json in
+    let str k = to_string (member k j) and int k = to_int (member k j) in
+    match Obs.Trace.metric_of_record j with
+    | Some m -> metrics := m :: !metrics
+    | None -> (
+      match str "type" with
+      | "scenario" -> scenario := (str "k", str "v") :: !scenario
+      | "totals" ->
+        totals :=
           {
-            scenario = List.rev !scenario;
-            tasks = Array.of_list (List.rev !tasks);
-            totals = !totals;
-            metrics = List.rev !metrics;
-            result = !result;
+            ck_nodes = int "nodes";
+            ck_terminals = int "terminals";
+            ck_truncated = int "truncated";
+            ck_dup = int "dup";
           }
-      end
-  with
-  | Sys_error e -> Error e
-  | Json.Bad e -> Error (Printf.sprintf "%s: malformed checkpoint: %s" path e)
-  | Failure e -> Error (Printf.sprintf "%s: malformed checkpoint: %s" path e)
+      | "task" ->
+        tasks :=
+          {
+            ck_path = path_of_string (str "path");
+            ck_crashes = int "crashes";
+            ck_done = to_bool (member "done" j);
+          }
+          :: !tasks
+      | "result" -> result := Some (str "verdict", str "reason")
+      | ty -> raise (Malformed (Printf.sprintf "unknown record type %S" ty)))
+  in
+  Obs.Json.read_ndjson ~what:"checkpoint" ~schemas:compatible_schemas path record
+  |> Result.map (fun () ->
+         {
+           scenario = List.rev !scenario;
+           tasks = Array.of_list (List.rev !tasks);
+           totals = !totals;
+           metrics = List.rev !metrics;
+           result = !result;
+         })

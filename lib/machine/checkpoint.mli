@@ -62,41 +62,12 @@ val save : path:string -> t -> unit
     [path]. *)
 
 val load : string -> (t, string) result
-(** Parse a checkpoint file; [Error] describes unreadable files,
-    malformed records and schema mismatches. *)
-
-(** The minimal JSON toolkit the checkpoint reader/writer is built on:
-    a recursive-descent parser for the subset our own NDJSON writers
-    emit, plus the escaping they all share.  Exposed so sibling NDJSON
-    formats (the fuzzer's corpus, tests) parse with the same code
-    instead of growing parser clones. *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Bad of string
-
-  val parse : string -> t
-  (** @raise Bad on anything outside the supported subset. *)
-
-  val member : string -> t -> t
-  (** Field of an object.  @raise Bad if missing or not an object. *)
-
-  val to_int : t -> int
-  val to_string : t -> string
-  val to_bool : t -> bool
-  val to_list : t -> t list
-end
+(** Parse a checkpoint file with {!Obs.Json.read_ndjson}; [Error]
+    describes unreadable files, malformed records (a non-integer count
+    included) and schema mismatches. *)
 
 val json_escape : string -> string
-(** The escaping discipline shared by every NDJSON writer in this
-    codebase (same as {!Obs.Trace}): ASCII control characters, quotes
-    and backslashes. *)
+(** {!Obs.Json.escape}, kept under this name for existing callers. *)
 
 (**/**)
 

@@ -1,45 +1,22 @@
 let schema_version = "nrl-trace/1"
 
-type value = Bool of bool | Int of int | Float of float | Str of string
+type value = Json.t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | Str of string
+  | Arr of value list
+  | Obj of (string * value) list
 
 type t = { oc : out_channel; m : Mutex.t; mutable closed : bool }
-
-(* Same escaping discipline as Workload.Bench_json (which this library
-   cannot depend on): ASCII control characters escaped, everything else
-   passed through. *)
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let number f =
-  if Float.is_nan f || Float.abs f = Float.infinity then "null" else Printf.sprintf "%.17g" f
-
-let value_str = function
-  | Bool b -> if b then "true" else "false"
-  | Int i -> string_of_int i
-  | Float f -> number f
-  | Str s -> Printf.sprintf "\"%s\"" (escape s)
-
-let fields_str fs =
-  String.concat ","
-    (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (escape k) (value_str v)) fs)
 
 (* Flush after every record: the sink's guarantee is that a run killed at
    any point — including by an uncatchable SIGKILL — leaves a parseable
    NDJSON prefix on disk, never a line cut mid-record by stdlib
    buffering. *)
-let line t s =
+let line t record =
+  let s = Json.print record in
   Mutex.lock t.m;
   if not t.closed then begin
     output_string t.oc s;
@@ -57,8 +34,8 @@ let rec create ~path =
      call {!close}. *)
   at_exit (fun () -> close t);
   line t
-    (Printf.sprintf "{\"schema\":\"%s\",\"type\":\"meta\",\"clock\":\"ns-since-process-start\"}"
-       schema_version);
+    (Obj
+       [ ("schema", Str schema_version); ("type", Str "meta"); ("clock", Str "ns-since-process-start") ]);
   t
 
 and close t =
@@ -69,37 +46,49 @@ and close t =
   end;
   Mutex.unlock t.m
 
+let with_fields fs record = Obj (if fs = [] then record else record @ [ ("fields", Obj fs) ])
+
 let event ?ts_ns t ~name fs =
   let ts = match ts_ns with Some ts -> ts | None -> Clock.now_ns () in
-  let payload = if fs = [] then "" else Printf.sprintf ",\"fields\":{%s}" (fields_str fs) in
-  line t
-    (Printf.sprintf "{\"type\":\"event\",\"name\":\"%s\",\"ts_ns\":%d%s}" (escape name) ts payload)
+  line t (with_fields fs [ ("type", Str "event"); ("name", Str name); ("ts_ns", Int ts) ])
 
 let span t ~name ~start_ns ~dur_ns fs =
-  let payload = if fs = [] then "" else Printf.sprintf ",\"fields\":{%s}" (fields_str fs) in
   line t
-    (Printf.sprintf "{\"type\":\"span\",\"name\":\"%s\",\"start_ns\":%d,\"dur_ns\":%d%s}"
-       (escape name) start_ns dur_ns payload)
+    (with_fields fs
+       [ ("type", Str "span"); ("name", Str name); ("start_ns", Int start_ns); ("dur_ns", Int dur_ns) ])
 
-let metrics t reg =
-  List.iter
-    (fun (name, v) ->
-      let name = escape name in
-      match (v : Metrics.view) with
-      | Metrics.Counter n ->
-        line t (Printf.sprintf "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%d}" name n)
-      | Metrics.Timer { ns; intervals } ->
-        line t
-          (Printf.sprintf "{\"type\":\"timer\",\"name\":\"%s\",\"ns\":%d,\"intervals\":%d}" name
-             ns intervals)
-      | Metrics.Histogram { count; sum; max_value; buckets } ->
-        let bs =
-          String.concat ","
-            (List.map (fun (le, n) -> Printf.sprintf "{\"le\":%d,\"n\":%d}" le n) buckets)
-        in
-        line t
-          (Printf.sprintf
-             "{\"type\":\"histogram\",\"name\":\"%s\",\"count\":%d,\"sum\":%d,\"max\":%d,\"buckets\":[%s]}"
-             name count sum max_value bs))
-    (Metrics.to_list reg)
+let metric_record name (v : Metrics.view) =
+  let record ty fs = Obj ([ ("type", Str ty); ("name", Str name) ] @ fs) in
+  match v with
+  | Metrics.Counter n -> record "counter" [ ("value", Int n) ]
+  | Metrics.Timer { ns; intervals } -> record "timer" [ ("ns", Int ns); ("intervals", Int intervals) ]
+  | Metrics.Histogram { count; sum; max_value; buckets } ->
+    record "histogram"
+      [
+        ("count", Int count);
+        ("sum", Int sum);
+        ("max", Int max_value);
+        ("buckets", Arr (List.map (fun (le, n) -> Obj [ ("le", Int le); ("n", Int n) ]) buckets));
+      ]
 
+let metric_of_record j =
+  let int k = Json.to_int (Json.member k j) in
+  let view =
+    match Json.to_string (Json.member "type" j) with
+    | "counter" -> Some (Metrics.Counter (int "value"))
+    | "timer" -> Some (Metrics.Timer { ns = int "ns"; intervals = int "intervals" })
+    | "histogram" ->
+      let bucket b = (Json.to_int (Json.member "le" b), Json.to_int (Json.member "n" b)) in
+      Some
+        (Metrics.Histogram
+           {
+             count = int "count";
+             sum = int "sum";
+             max_value = int "max";
+             buckets = List.map bucket (Json.to_list (Json.member "buckets" j));
+           })
+    | _ -> None
+  in
+  Option.map (fun v -> (Json.to_string (Json.member "name" j), v)) view
+
+let metrics t reg = List.iter (fun (name, v) -> line t (metric_record name v)) (Metrics.to_list reg)

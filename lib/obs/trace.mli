@@ -1,8 +1,8 @@
 (** NDJSON trace sink: one JSON object per line, schema ["nrl-trace/1"].
 
-    The format follows the {!Workload.Bench_json} conventions (plain
-    ASCII escaping, [nan]/[inf] rendered as [null]) but is a stream, not
-    a document: tools can tail a trace while the run is still going.
+    Every line is a {!Json.print} record (the codec's escaping and float
+    rule; [nan]/[inf] render as [null]).  The trace is a stream, not a
+    document: tools can tail it while the run is still going.
     The first line is always a [meta] record carrying the schema tag and
     the clock contract; subsequent lines are [event], [span] and —
     usually at the end of the run — one line per metric ([counter],
@@ -28,8 +28,16 @@ type t
 val schema_version : string
 (** ["nrl-trace/1"]. *)
 
-(** Field values for [event]/[span] payloads. *)
-type value = Bool of bool | Int of int | Float of float | Str of string
+(** Field values for [event]/[span] payloads: {!Json.t} itself,
+    re-exported so callers can keep writing [Obs.Trace.Int n]. *)
+type value = Json.t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | Str of string
+  | Arr of value list
+  | Obj of (string * value) list
 
 val create : path:string -> t
 (** Open (truncating) [path] and write the [meta] line. *)
@@ -42,6 +50,17 @@ val span : t -> name:string -> start_ns:int -> dur_ns:int -> (string * value) li
 
 val metrics : t -> Metrics.t -> unit
 (** One line per metric in the registry, in name order. *)
+
+val metric_record : string -> Metrics.view -> Json.t
+(** The [counter]/[timer]/[histogram] record {!metrics} writes for one
+    metric; checkpoints persist their metric views with the same
+    records. *)
+
+val metric_of_record : Json.t -> (string * Metrics.view) option
+(** The inverse of {!metric_record}: [None] when the record's [type] is
+    not a metric type.
+    @raise Json.Malformed on a metric record with missing or mistyped
+    fields. *)
 
 val close : t -> unit
 (** Flush and close the underlying channel (idempotent). *)

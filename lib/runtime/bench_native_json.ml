@@ -45,57 +45,32 @@ type t = {
   alloc_per_op : alloc_row list;
 }
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* infinities (a zero-duration window) have no JSON literal: emit null *)
-let number v = if Float.is_finite v then Printf.sprintf "%.3f" v else "null"
-
-let add_rows buf rows render =
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf (render r);
-      Buffer.add_string buf (if i = List.length rows - 1 then "\n" else ",\n"))
-    rows
-
 let render t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"schema\": \"%s\",\n" schema_version);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"domains_available\": %d,\n" t.domains_available);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"duration_s\": %s,\n" (number t.duration_s));
-  Buffer.add_string buf "  \"throughput\": [\n";
-  add_rows buf t.throughput (fun r ->
-      Printf.sprintf
-        "    {\"object\": \"%s\", \"impl\": \"%s\", \"mode\": \"%s\", \"width\": %d, \
-         \"domains\": %d, \"ops\": %d, \"seconds\": %s, \"ops_per_sec\": %s}"
-        (escape r.tp_object) (escape r.tp_impl) (escape r.tp_mode) r.tp_width
-        r.tp_domains r.tp_ops (number r.tp_seconds) (number r.tp_ops_per_sec));
-  Buffer.add_string buf "  ],\n  \"latency\": [\n";
-  add_rows buf t.latency (fun r ->
-      Printf.sprintf "    {\"name\": \"%s\", \"ns\": %s}" (escape r.ns_name)
-        (number r.ns_ns));
-  Buffer.add_string buf "  ],\n  \"alloc_per_op\": [\n";
-  add_rows buf t.alloc_per_op (fun r ->
-      Printf.sprintf "    {\"name\": \"%s\", \"words\": %s}" (escape r.al_name)
-        (number r.al_words));
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+  let open Obs.Json in
+  let rows f l = Arr (List.map (fun r -> Obj (f r)) l) in
+  print_doc
+    (Obj
+       [
+         ("schema", Str schema_version);
+         ("domains_available", Int t.domains_available);
+         ("duration_s", Float t.duration_s);
+         ( "throughput",
+           rows
+             (fun r ->
+               [
+                 ("object", Str r.tp_object);
+                 ("impl", Str r.tp_impl);
+                 ("mode", Str r.tp_mode);
+                 ("width", Int r.tp_width);
+                 ("domains", Int r.tp_domains);
+                 ("ops", Int r.tp_ops);
+                 ("seconds", Float r.tp_seconds);
+                 ("ops_per_sec", Float r.tp_ops_per_sec);
+               ])
+             t.throughput );
+         ("latency", rows (fun r -> [ ("name", Str r.ns_name); ("ns", Float r.ns_ns) ]) t.latency);
+         ( "alloc_per_op",
+           rows (fun r -> [ ("name", Str r.al_name); ("words", Float r.al_words) ]) t.alloc_per_op );
+       ])
 
-let write ~path t =
-  let oc = open_out path in
-  output_string oc (render t);
-  close_out oc
+let write ~path t = Out_channel.with_open_bin path (fun oc -> output_string oc (render t))

@@ -1,7 +1,7 @@
 (** The [BENCH_native.json] document (schema ["nrl-native/1"]) written
     by [nrlsim bench-native]: native-runtime throughput, latency and
-    allocation rows.  Self-contained writer — the bench harness's
-    {!Workload.Bench_json} is its sibling for the simulator suite. *)
+    allocation rows, rendered with {!Obs.Json.print_doc} like its
+    sibling {!Workload.Bench_json} for the simulator suite. *)
 
 val schema_version : string
 

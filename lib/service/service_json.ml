@@ -28,97 +28,65 @@ type t = {
   modes : mode_row list;
 }
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let number v = if Float.is_finite v then Printf.sprintf "%.3f" v else "null"
-
-let lat_obj lat =
-  Printf.sprintf
-    "{ \"count\": %d, \"p50_ns\": %d, \"p99_ns\": %d, \"max_ns\": %d, \"mean_ns\": %s }"
-    (Latency.count lat) (Latency.quantile lat 0.5) (Latency.quantile lat 0.99)
-    (Latency.max_value lat) (number (Latency.mean lat))
-
-let mode_row row =
-  let r = row.m_result in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "    {\n";
-  Buffer.add_string buf (Printf.sprintf "      \"mode\": \"%s\",\n" (escape r.Engine.r_mode));
-  Buffer.add_string buf
-    (Printf.sprintf "      \"crash_interval_s\": %s,\n" (number row.m_crash_interval));
-  Buffer.add_string buf (Printf.sprintf "      \"wall_s\": %s,\n" (number r.Engine.r_wall_s));
-  Buffer.add_string buf
-    (Printf.sprintf "      \"schedule_len\": %d,\n" r.Engine.r_schedule_len);
-  Buffer.add_string buf (Printf.sprintf "      \"crashes\": %d,\n" r.Engine.r_crashes);
-  Buffer.add_string buf (Printf.sprintf "      \"recoveries\": %d,\n" r.Engine.r_recoveries);
-  Buffer.add_string buf
-    (Printf.sprintf "      \"recovery_retries\": %d,\n" r.Engine.r_recovery_retries);
-  Buffer.add_string buf (Printf.sprintf "      \"giveups\": %d,\n" r.Engine.r_giveups);
-  Buffer.add_string buf (Printf.sprintf "      \"requests\": %d,\n" r.Engine.r_requests);
-  Buffer.add_string buf (Printf.sprintf "      \"ok\": %d,\n" r.Engine.r_ok);
-  Buffer.add_string buf (Printf.sprintf "      \"retries\": %d,\n" r.Engine.r_retries);
-  Buffer.add_string buf (Printf.sprintf "      \"shed\": %d,\n" r.Engine.r_shed);
-  Buffer.add_string buf (Printf.sprintf "      \"rejected\": %d,\n" r.Engine.r_rejected);
-  Buffer.add_string buf
-    (Printf.sprintf "      \"unavailable\": %d,\n" r.Engine.r_unavailable);
-  Buffer.add_string buf (Printf.sprintf "      \"timeouts\": %d,\n" r.Engine.r_timeouts);
-  Buffer.add_string buf (Printf.sprintf "      \"failures\": %d,\n" r.Engine.r_failures);
-  Buffer.add_string buf
-    (Printf.sprintf "      \"throughput_rps\": %s,\n" (number r.Engine.r_throughput));
-  Buffer.add_string buf
-    (Printf.sprintf "      \"shed_rate\": %s,\n" (number (Engine.shed_rate r)));
-  Buffer.add_string buf
-    (Printf.sprintf "      \"latency_ns\": %s,\n" (lat_obj r.Engine.r_lat));
-  Buffer.add_string buf
-    (Printf.sprintf "      \"recovery_ns\": %s,\n" (lat_obj r.Engine.r_recovery));
-  Buffer.add_string buf
-    (Printf.sprintf "      \"conservation_violations\": %d\n"
-       (List.length r.Engine.r_violations));
-  Buffer.add_string buf "    }";
-  Buffer.contents buf
-
 let render t =
+  let open Obs.Json in
+  let lat l =
+    Obj
+      [
+        ("count", Int (Latency.count l));
+        ("p50_ns", Int (Latency.quantile l 0.5));
+        ("p99_ns", Int (Latency.quantile l 0.99));
+        ("max_ns", Int (Latency.max_value l));
+        ("mean_ns", Float (Latency.mean l));
+      ]
+  in
+  let mode_row row =
+    let r = row.m_result in
+    Obj
+      [
+        ("mode", Str r.Engine.r_mode);
+        ("crash_interval_s", Float row.m_crash_interval);
+        ("wall_s", Float r.Engine.r_wall_s);
+        ("schedule_len", Int r.Engine.r_schedule_len);
+        ("crashes", Int r.Engine.r_crashes);
+        ("recoveries", Int r.Engine.r_recoveries);
+        ("recovery_retries", Int r.Engine.r_recovery_retries);
+        ("giveups", Int r.Engine.r_giveups);
+        ("requests", Int r.Engine.r_requests);
+        ("ok", Int r.Engine.r_ok);
+        ("retries", Int r.Engine.r_retries);
+        ("shed", Int r.Engine.r_shed);
+        ("rejected", Int r.Engine.r_rejected);
+        ("unavailable", Int r.Engine.r_unavailable);
+        ("timeouts", Int r.Engine.r_timeouts);
+        ("failures", Int r.Engine.r_failures);
+        ("throughput_rps", Float r.Engine.r_throughput);
+        ("shed_rate", Float (Engine.shed_rate r));
+        ("latency_ns", lat r.Engine.r_lat);
+        ("recovery_ns", lat r.Engine.r_recovery);
+        ("conservation_violations", Int (List.length r.Engine.r_violations));
+      ]
+  in
   let c = t.config in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"schema\": \"%s\",\n" schema_version);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"domains_available\": %d,\n" t.domains_available);
-  Buffer.add_string buf (Printf.sprintf "  \"seed\": %d,\n" t.seed);
-  Buffer.add_string buf "  \"config\": {\n";
-  Buffer.add_string buf (Printf.sprintf "    \"shards\": %d,\n" c.Engine.shards);
-  Buffer.add_string buf (Printf.sprintf "    \"sessions\": %d,\n" c.Engine.sessions);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"client_domains\": %d,\n" c.Engine.client_domains);
-  Buffer.add_string buf (Printf.sprintf "    \"keys\": %d,\n" c.Engine.keys);
-  Buffer.add_string buf (Printf.sprintf "    \"skew\": %s,\n" (number c.Engine.skew));
-  Buffer.add_string buf
-    (Printf.sprintf "    \"duration_s\": %s,\n" (number c.Engine.duration));
-  Buffer.add_string buf
-    (Printf.sprintf "    \"deadline_ms\": %s,\n" (number c.Engine.deadline_ms));
-  Buffer.add_string buf (Printf.sprintf "    \"queue_bound\": %d,\n" c.Engine.queue_bound);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"shed_fraction\": %s,\n" (number c.Engine.shed_fraction));
-  Buffer.add_string buf
-    (Printf.sprintf "    \"recrash_prob\": %s\n" (number c.Engine.recrash_prob));
-  Buffer.add_string buf "  },\n";
-  Buffer.add_string buf "  \"modes\": [\n";
-  List.iteri
-    (fun i row ->
-      Buffer.add_string buf (mode_row row);
-      Buffer.add_string buf (if i = List.length t.modes - 1 then "\n" else ",\n"))
-    t.modes;
-  Buffer.add_string buf "  ]\n";
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  print_doc
+    (Obj
+       [
+         ("schema", Str schema_version);
+         ("domains_available", Int t.domains_available);
+         ("seed", Int t.seed);
+         ( "config",
+           Obj
+             [
+               ("shards", Int c.Engine.shards);
+               ("sessions", Int c.Engine.sessions);
+               ("client_domains", Int c.Engine.client_domains);
+               ("keys", Int c.Engine.keys);
+               ("skew", Float c.Engine.skew);
+               ("duration_s", Float c.Engine.duration);
+               ("deadline_ms", Float c.Engine.deadline_ms);
+               ("queue_bound", Int c.Engine.queue_bound);
+               ("shed_fraction", Float c.Engine.shed_fraction);
+               ("recrash_prob", Float c.Engine.recrash_prob);
+             ] );
+         ("modes", Arr (List.map mode_row t.modes));
+       ])

@@ -57,65 +57,49 @@ type t = {
   explore : explore_row list;
 }
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* nan (a failed OLS fit) and infinities (a zero-duration measurement)
-   have no JSON literal: emit null *)
-let number v = if Float.is_finite v then Printf.sprintf "%.3f" v else "null"
-
 let rate num seconds = if seconds > 0. then float_of_int num /. seconds else nan
 
-let add_rows buf rows render =
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf (render r);
-      Buffer.add_string buf (if i = List.length rows - 1 then "\n" else ",\n"))
-    rows
-
 let render t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"schema\": \"%s\",\n" schema_version);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"domains_available\": %d,\n" t.domains_available);
-  Buffer.add_string buf "  \"ns_per_op\": [\n";
-  add_rows buf t.ns_per_op (fun r ->
-      Printf.sprintf "    {\"section\": \"%s\", \"name\": \"%s\", \"ns\": %s}"
-        (escape r.ns_section) (escape r.ns_name) (number r.ns_ns));
-  Buffer.add_string buf "  ],\n  \"persist_events\": [\n";
-  add_rows buf t.persist_events (fun r ->
-      Printf.sprintf "    {\"op\": \"%s\", \"nprocs\": %d, \"accesses\": %d}"
-        (escape r.pe_op) r.pe_nprocs r.pe_accesses);
-  Buffer.add_string buf "  ],\n  \"explore\": [\n";
-  add_rows buf t.explore (fun r ->
-      Printf.sprintf
-        "    {\"section\": \"%s\", \"scenario\": \"%s\", \"nprocs\": %d, \"ops\": %d, \
-         \"jobs\": %d, \"dedup\": %b, \"trail\": %b, \"symmetry\": %b, \"mode\": \"%s\", \
-         \"persist\": \"%s\", \"flushes\": %d, \"fences\": %d, \
-         \"terminals\": %d, \"nodes\": %d, \"dup\": %d, \"seconds\": %s, \
-         \"nodes_per_sec\": %s, \"terminals_per_sec\": %s}"
-        (escape r.er_section) (escape r.er_scenario) r.er_nprocs r.er_ops r.er_jobs
-        r.er_dedup r.er_trail r.er_sym (escape r.er_mode) (escape r.er_persist)
-        r.er_flushes r.er_fences r.er_terminals r.er_nodes r.er_dup
-        (number r.er_seconds)
-        (number (rate r.er_nodes r.er_seconds))
-        (number (rate r.er_terminals r.er_seconds)));
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+  let open Obs.Json in
+  let rows f l = Arr (List.map (fun r -> Obj (f r)) l) in
+  print_doc
+    (Obj
+       [
+         ("schema", Str schema_version);
+         ("domains_available", Int t.domains_available);
+         ( "ns_per_op",
+           rows
+             (fun r -> [ ("section", Str r.ns_section); ("name", Str r.ns_name); ("ns", Float r.ns_ns) ])
+             t.ns_per_op );
+         ( "persist_events",
+           rows
+             (fun r ->
+               [ ("op", Str r.pe_op); ("nprocs", Int r.pe_nprocs); ("accesses", Int r.pe_accesses) ])
+             t.persist_events );
+         ( "explore",
+           rows
+             (fun r ->
+               [
+                 ("section", Str r.er_section);
+                 ("scenario", Str r.er_scenario);
+                 ("nprocs", Int r.er_nprocs);
+                 ("ops", Int r.er_ops);
+                 ("jobs", Int r.er_jobs);
+                 ("dedup", Bool r.er_dedup);
+                 ("trail", Bool r.er_trail);
+                 ("symmetry", Bool r.er_sym);
+                 ("mode", Str r.er_mode);
+                 ("persist", Str r.er_persist);
+                 ("flushes", Int r.er_flushes);
+                 ("fences", Int r.er_fences);
+                 ("terminals", Int r.er_terminals);
+                 ("nodes", Int r.er_nodes);
+                 ("dup", Int r.er_dup);
+                 ("seconds", Float r.er_seconds);
+                 ("nodes_per_sec", Float (rate r.er_nodes r.er_seconds));
+                 ("terminals_per_sec", Float (rate r.er_terminals r.er_seconds));
+               ])
+             t.explore );
+       ])
 
-let write ~path t =
-  let oc = open_out path in
-  output_string oc (render t);
-  close_out oc
+let write ~path t = Out_channel.with_open_bin path (fun oc -> output_string oc (render t))

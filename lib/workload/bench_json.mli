@@ -56,8 +56,8 @@ type t = {
 }
 
 val render : t -> string
-(** The complete JSON document (rates [nodes_per_sec] and
-    [terminals_per_sec] are derived here; non-finite floats emit
-    [null]). *)
+(** The complete JSON document, via {!Obs.Json.print_doc} (rates
+    [nodes_per_sec] and [terminals_per_sec] are derived here; non-finite
+    floats emit [null]). *)
 
 val write : path:string -> t -> unit

@@ -30,6 +30,7 @@ let () =
       ("native-parallel", Test_native_parallel.suite);
       ("bench-native-json", Test_bench_native_json.suite);
       ("obs", Test_obs.suite);
+      ("json", Test_json.suite);
       ("resilience", Test_resilience.suite);
       ("service", Test_service.suite);
       ("service-json", Test_service_json.suite);

@@ -183,23 +183,6 @@ let test_corpus_roundtrip () =
   Sys.remove a;
   Sys.remove b
 
-let test_corpus_load_errors () =
-  let reject name content =
-    let p = tmp name in
-    Out_channel.with_open_bin p (fun oc -> output_string oc content);
-    (match Corpus.load p with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "loaded malformed corpus %s" name);
-    Sys.remove p
-  in
-  (match Corpus.load (tmp "does_not_exist.ndjson") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "loaded a missing file");
-  reject "empty.ndjson" "";
-  reject "schema.ndjson" "{\"schema\":\"nrl-corpus/999\"}\n";
-  reject "junk.ndjson" "{\"schema\":\"nrl-corpus/1\"}\nnot json\n";
-  reject "unknown.ndjson" "{\"schema\":\"nrl-corpus/1\"}\n{\"type\":\"mystery\"}\n"
-
 let test_campaign_byte_identical_rerun () =
   let a = tmp "id_a.ndjson" and b = tmp "id_b.ndjson" in
   (match Campaign.run (small_cfg a), Campaign.run (small_cfg b) with
@@ -316,7 +299,6 @@ let suite =
       test_zoo_shrunk_reproducers_violate;
     Alcotest.test_case "shrink never grows a descriptor" `Quick test_shrink_never_grows;
     Alcotest.test_case "corpus load/save round-trip" `Quick test_corpus_roundtrip;
-    Alcotest.test_case "corpus load errors" `Quick test_corpus_load_errors;
     Alcotest.test_case "campaign re-run byte-identical" `Quick
       test_campaign_byte_identical_rerun;
     Alcotest.test_case "campaign resume byte-identical" `Quick

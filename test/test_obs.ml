@@ -1,11 +1,11 @@
 (* The observability layer: registry semantics (merge is an exact sum),
    the engine-invariance contract (counter values identical across
    --jobs and --trail for the same workload), the NDJSON trace schema
-   (round-tripped through the same JSON reader that validates the bench
-   schema), the torture-harness counters, and catalogue coverage (a run
+   (round-tripped through Obs.Json), the torture-harness counters, and catalogue coverage (a run
    cannot emit a metric name the catalogue does not document). *)
 
 open Machine
+module J = Obs.Json
 
 (* {1 Registry semantics} *)
 
@@ -197,18 +197,7 @@ let test_counters_invariant_across_resume () =
 
 (* {1 The NDJSON trace schema} *)
 
-let read_lines path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file ->
-      close_in ic;
-      List.rev acc
-  in
-  go []
-
-let obj_field name j = Test_bench_json.field name j
+let read_lines path = In_channel.with_open_bin path In_channel.input_lines
 
 let test_trace_roundtrip () =
   let path = Filename.temp_file "nrl_trace" ".ndjson" in
@@ -231,47 +220,37 @@ let test_trace_roundtrip () =
   let lines = read_lines path in
   Sys.remove path;
   Alcotest.(check int) "line count" 6 (List.length lines);
-  (* every line is a standalone JSON object with a "type" field *)
-  let parsed = List.map Test_bench_json.parse lines in
-  let typ j = Test_bench_json.as_str (obj_field "type" j) in
-  (match parsed with
-  | meta :: rest ->
-    Alcotest.(check string) "meta first" "meta" (typ meta);
-    Alcotest.(check string) "schema tag" Obs.Trace.schema_version
-      (Test_bench_json.as_str (obj_field "schema" meta));
-    Alcotest.(check string) "clock contract" "ns-since-process-start"
-      (Test_bench_json.as_str (obj_field "clock" meta));
-    let event = List.find (fun j -> typ j = "event") rest in
-    let fields = obj_field "fields" event in
-    Alcotest.(check string) "event name" "e"
-      (Test_bench_json.as_str (obj_field "name" event));
-    Alcotest.(check bool) "event has timestamp" true
-      (Test_bench_json.as_num (obj_field "ts_ns" event) >= 0.);
-    Alcotest.(check (float 0.)) "int field" 42. (Test_bench_json.as_num (obj_field "i" fields));
-    Alcotest.(check string) "escaped string survives" "quote\"back\\slash"
-      (Test_bench_json.as_str (obj_field "s" fields));
-    Alcotest.(check bool) "bool field" true
-      (Test_bench_json.as_bool (obj_field "b" fields));
-    (match obj_field "nan" fields with
-    | Test_bench_json.Null -> ()
-    | _ -> Alcotest.fail "nan must serialise as null");
-    let span = List.find (fun j -> typ j = "span") rest in
-    Alcotest.(check (float 0.)) "span start" 5. (Test_bench_json.as_num (obj_field "start_ns" span));
-    Alcotest.(check (float 0.)) "span duration" 7. (Test_bench_json.as_num (obj_field "dur_ns" span));
-    let counter = List.find (fun j -> typ j = "counter") rest in
-    Alcotest.(check string) "counter name" Obs.Names.explore_nodes
-      (Test_bench_json.as_str (obj_field "name" counter));
-    Alcotest.(check (float 0.)) "counter value" 42.
-      (Test_bench_json.as_num (obj_field "value" counter));
-    let timer = List.find (fun j -> typ j = "timer") rest in
-    Alcotest.(check (float 0.)) "timer ns" 1234. (Test_bench_json.as_num (obj_field "ns" timer));
-    let hist = List.find (fun j -> typ j = "histogram") rest in
-    (match obj_field "buckets" hist with
-    | Test_bench_json.Arr [ b ] ->
-      Alcotest.(check (float 0.)) "bucket le" 3. (Test_bench_json.as_num (obj_field "le" b));
-      Alcotest.(check (float 0.)) "bucket n" 1. (Test_bench_json.as_num (obj_field "n" b))
-    | _ -> Alcotest.fail "histogram buckets malformed")
-  | [] -> Alcotest.fail "empty trace")
+  match List.map J.parse lines with
+  | meta :: event :: span :: metrics ->
+    Alcotest.(check bool) "meta first: schema tag and clock contract" true
+      (meta
+      = J.Obj
+          [
+            ("schema", J.Str Obs.Trace.schema_version);
+            ("type", J.Str "meta");
+            ("clock", J.Str "ns-since-process-start");
+          ]);
+    Alcotest.(check bool) "event record with a timestamp" true
+      (J.member "type" event = J.Str "event"
+      && J.member "name" event = J.Str "e"
+      && J.to_int (J.member "ts_ns" event) >= 0);
+    Alcotest.(check bool) "event fields survive; nan serialises as null" true
+      (J.member "fields" event
+      = J.Obj
+          [ ("i", J.Int 42); ("s", J.Str "quote\"back\\slash"); ("b", J.Bool true); ("nan", J.Null) ]);
+    Alcotest.(check bool) "span record" true
+      (span
+      = J.Obj
+          [
+            ("type", J.Str "span");
+            ("name", J.Str "sp");
+            ("start_ns", J.Int 5);
+            ("dur_ns", J.Int 7);
+            ("fields", J.Obj [ ("w", J.Int 0) ]);
+          ]);
+    Alcotest.(check bool) "metric records decode to the registry's views" true
+      (List.filter_map Obs.Trace.metric_of_record metrics = Obs.Metrics.to_list reg)
+  | _ -> Alcotest.fail "trace too short"
 
 let test_explore_trace_is_schema_valid () =
   let path = Filename.temp_file "nrl_explore_trace" ".ndjson" in
@@ -291,8 +270,7 @@ let test_explore_trace_is_schema_valid () =
   Alcotest.(check bool) "trace non-trivial" true (List.length lines > 3);
   List.iteri
     (fun i line ->
-      let j = Test_bench_json.parse line in
-      let typ = Test_bench_json.as_str (obj_field "type" j) in
+      let typ = J.to_string (J.member "type" (J.parse line)) in
       if i = 0 then Alcotest.(check string) "meta first" "meta" typ
       else
         Alcotest.(check bool)

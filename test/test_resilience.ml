@@ -144,6 +144,25 @@ let test_checkpoint_roundtrip () =
   (match Checkpoint.load path with
   | Error e -> Alcotest.fail e
   | Ok got -> Alcotest.(check bool) "verdict survives" true (got = final));
+  List.iter
+    (fun tok ->
+      match Checkpoint.decision_of_token tok with
+      | _ -> Alcotest.failf "decision token %S decoded" tok
+      | exception Failure _ -> ())
+    [ "s0x1"; "c1_0"; "r-2"; "k+3"; "s"; "x1"; "s99999999999999999999" ];
+  (* A save cut inside a record is an [Error], never an exception; a cut
+     on a line boundary (or just before a newline) drops whole records
+     and still loads — the known limit docs/resilience.md records. *)
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  for k = 0 to String.length text - 1 do
+    Out_channel.with_open_bin path (fun oc -> output_string oc (String.sub text 0 k));
+    let whole_records = k > 0 && (text.[k - 1] = '\n' || text.[k] = '\n') in
+    match Checkpoint.load path with
+    | Ok _ when not whole_records -> Alcotest.failf "a %d-byte prefix cutting a record loaded" k
+    | Error e when whole_records -> Alcotest.failf "a %d-byte prefix failed: %s" k e
+    | _ -> ()
+    | exception e -> Alcotest.failf "a %d-byte prefix raised %s" k (Printexc.to_string e)
+  done;
   Sys.remove path
 
 let test_resume_rejects_finalized () =
